@@ -2,18 +2,17 @@
 generators, the Swap bisection, spectral bounds, a brute-force oracle,
 and a reproducible experiment harness."""
 
-from .graph import (ComponentStats, EdgeListFormatError, EmptyGraphError, Graph,
+from .graph import (EdgeListFormatError, EmptyGraphError, Graph,
                     InvalidPartitionError, ModularityBreakdown, Partition,
-                    component_stats, connected_components,
-                    degree_tax_bounds_check, induced_subgraph, modularity_exact,
-                    modularity_score, read_edgelist, read_partition,
-                    strip_isolated, write_edgelist, write_partition)
+                    connected_components, degree_tax_bounds_check,
+                    induced_subgraph, modularity_exact, modularity_score,
+                    read_edgelist, read_partition, strip_isolated,
+                    write_edgelist, write_partition)
 from .generators import (GeneratorSpec, LabeledGraph, Model, MTooLargeError,
                          RateOutOfRangeError, gen_gnm, gen_gnp, gen_planted,
                          sample, substream)
-from .heuristics import (KTooSmallError, SwapTrace, TooSmallError, coarsen_to_k,
-                         f_k, odd_even_bisection, planted_partition,
-                         swap_bisection)
+from .heuristics import (KTooSmallError, SwapTrace, TooSmallError, f_k,
+                         odd_even_bisection, planted_partition, swap_bisection)
 from .oracle import (COutOfRangeError, DifferentMError, OracleResult,
                      RobustnessCheck, exact_modularity, exact_modularity_k,
                      optimal_connectivity_check, resolution_limit_check,
@@ -23,8 +22,8 @@ from .spectral import (DENSE_CAP, GapEstimate, IsolatedVertexError,
                        NoConvergenceError, PruneResult, SpectralSummary,
                        TooLargeError, UpperWitness, discrepancy_audit,
                        extremal_gap, normalized_laplacian, prune,
-                       spectral_gap_extremal, spectral_modularity_bound,
-                       spectral_summary, spectral_upper_witness)
+                       spectral_gap_extremal, spectral_summary,
+                       spectral_upper_witness)
 from .experiments import (EXPERIMENTS, CheckOutcome, EpsOutOfRangeError,
                           ExperimentConfig, ExperimentResult, run_experiment,
                           wilson_upper)

@@ -8,9 +8,11 @@ worker count.  Per-task streams are derived by hashing
 
 "With high probability" statements are operationalized as replicate
 majorities: each config declares the fraction it requires (default 0.9);
-thresholds live in the config, not in code.  Wall-clock time is kept on
-in-memory records and in the summary but never written to CSV, so
-identical configs produce byte-identical files.
+thresholds live in the config, not in code.  Each experiment declares the
+grid, option and assertion keys it accepts, and a config naming any other
+key is rejected.  Wall-clock time is kept on in-memory records and in the
+summary but never written to CSV, so identical configs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,16 +23,18 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import KW_ONLY, dataclass, field
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from .graph import connected_components, modularity_score
 from .generators import gen_gnm, gen_gnp, gen_planted
 from .heuristics import f_k, planted_partition, swap_bisection
-from .oracle import exact_modularity, solve_dual
-from .spectral import spectral_upper_witness
+from .oracle import ORACLE_CAP, exact_modularity, solve_dual
+from .spectral import TooLargeError, spectral_upper_witness
 
 __all__ = [
     "ExperimentConfig",
@@ -82,7 +86,8 @@ class CheckOutcome:
 class ExperimentConfig:
     """One sweep: named experiment, parameter grid (cartesian product),
     replicates per point, base seed, and per-experiment options plus
-    declared assertions."""
+    declared assertions.  Options the config leaves out take the
+    experiment's defaults."""
 
     experiment: str
     grid: dict[str, list]
@@ -99,10 +104,24 @@ class ExperimentConfig:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         exp = EXPERIMENTS[self.experiment]
-        for key in exp.accepted_grids(self.grid):
+        keys = exp.grid_keys(self.grid)
+        forms = " or ".join(f"({', '.join(form)})" for form in exp.grids)
+        for section, given, allowed, shown in (
+                ("grid", self.grid, keys, forms),
+                ("options", self.options, exp.option_defaults, None),
+                ("assertions", self.assertions, exp.assertion_keys(), None)):
+            unknown = [key for key in given if key not in allowed]
+            if unknown:
+                raise ValueError(f"{self.experiment} does not accept {section} key "
+                                 f"{unknown[0]!r}; accepted: "
+                                 f"{shown or ', '.join(allowed) or 'none'}")
+        for key in keys:
             values = self.grid.get(key)
             if not isinstance(values, list) or not values:
                 raise ValueError(f"grid[{key!r}] must be a non-empty list")
+            if key in exp.positive and min(values) <= 0:
+                raise ValueError(f"{key} must be positive")
+        self.options = {**exp.option_defaults, **self.options}
         exp.validate(self)
 
     @classmethod
@@ -120,7 +139,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def points(self) -> list[dict]:
-        keys = EXPERIMENTS[self.experiment].accepted_grids(self.grid)
+        keys = EXPERIMENTS[self.experiment].grid_keys(self.grid)
         pts = [{}]
         for key in keys:
             pts = [dict(p, **{key: val}) for p in pts for val in self.grid[key]]
@@ -178,31 +197,115 @@ def _run_tasks(cfg: ExperimentConfig, threads: int) -> list[dict]:
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    """Run every task, then the experiment's summary and checks.  The CSV
+    columns are the task record's keys in order, less the bookkeeping
+    ones."""
     exp = EXPERIMENTS[cfg.experiment]
     records = _run_tasks(cfg, threads)
     records.sort(key=lambda r: (r["_point"], r["seed"]))
     summary, checks = exp.summarize(cfg, records)
-    return ExperimentResult(cfg.experiment, exp.columns(cfg), records, summary,
-                            checks)
+    columns = [key for key in records[0] if key not in ("_point", "walltime_ms")]
+    return ExperimentResult(cfg.experiment, columns, records, summary, checks)
 
 
 def _seed_key(base_seed: int, point_index: int, replicate: int, *extra: int):
     return np.random.SeedSequence(base_seed, spawn_key=(point_index, replicate) + extra)
 
 
-def _group_by_point(records: list[dict]) -> dict[int, list[dict]]:
-    groups: dict[int, list[dict]] = {}
-    for rec in records:
-        groups.setdefault(rec["_point"], []).append(rec)
-    return groups
+# ---------------------------------------------------------------------------
+# summary and check vocabulary.  The records are grouped into
+# (grid point, records) pairs in grid order.  An aggregate maps a list of
+# such groups and the config to one value: each summary entry is one over
+# all groups, and a check applies one to each group or to all of them.
+
+Groups = list[tuple[dict, list[dict]]]
 
 
-def _weighted_slope(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray) -> float:
-    wsum = ws.sum()
-    xbar = float((ws * xs).sum() / wsum)
-    ybar = float((ws * ys).sum() / wsum)
-    denom = float((ws * (xs - xbar) ** 2).sum())
-    return float((ws * (xs - xbar) * (ys - ybar)).sum() / denom)
+def _agg(fn, values) -> Optional[float]:
+    """fn over the values that are not None; None when every one is."""
+    values = [v for v in values if v is not None]
+    return float(fn(values)) if values else None
+
+
+def _of(fn, name: str):
+    """Aggregate of one record field."""
+    return lambda groups, cfg: _agg(fn, (r[name] for _, recs in groups for r in recs))
+
+
+def _rows(keys: tuple[str, ...], **stats):
+    """Per grid point, the named grid values, then each aggregate."""
+    return lambda groups, cfg: [
+        {**{key: point[key] for key in keys},
+         **{s: f([(point, recs)], cfg) for s, f in stats.items()}}
+        for point, recs in groups]
+
+
+def _loglog_slope(x: str, stat):
+    """Record-weighted least-squares slope of log stat against log x over
+    the grid points; None with fewer than two distinct x."""
+    def slope(groups: Groups, cfg):
+        if len({point[x] for point, _ in groups}) < 2:
+            return None
+        xs = np.array([math.log(point[x]) for point, _ in groups])
+        ys = np.array([math.log(max(stat([group], cfg), 1e-300)) for group in groups])
+        ws = np.array([float(len(recs)) for _, recs in groups])
+        wsum = ws.sum()
+        xbar = float((ws * xs).sum() / wsum)
+        ybar = float((ws * ys).sum() / wsum)
+        denom = float((ws * (xs - xbar) ** 2).sum())
+        return float((ws * (xs - xbar) * (ys - ybar)).sum() / denom)
+    return slope
+
+
+@dataclass(frozen=True)
+class Check:
+    """Assertion `name` holds when the aggregate stat(groups, cfg) lies
+    within limits(point, cfg) = (lo, hi) on every grid point, or once over
+    all of them when not per_point.  A stat of None fails; limits of None
+    leave the point out.
+
+    The check runs when the config sets `name` to anything but false
+    (`params` are further assertion keys it reads), or, given `when`, when
+    when(cfg) holds.  `summary` = (key, point -> name) also stores each
+    point's stat in the summary."""
+
+    name: str
+    stat: Callable[[Groups, ExperimentConfig], Optional[float]]
+    limits: Callable[[dict, ExperimentConfig], Optional[Sequence[float]]]
+    _: KW_ONLY
+    per_point: bool = True
+    params: tuple[str, ...] = ()
+    when: Optional[Callable[[ExperimentConfig], Any]] = None
+    summary: Optional[tuple[str, Callable[[dict], str]]] = None
+
+    def active(self, cfg: ExperimentConfig) -> bool:
+        if self.when is not None:
+            return bool(self.when(cfg))
+        value = cfg.assertions.get(self.name)
+        return value is not None and value is not False
+
+    def run(self, groups: Groups, summary: dict, cfg: ExperimentConfig) -> CheckOutcome:
+        ok, parts = True, []
+        for point, part in ([(group[0], [group]) for group in groups]
+                            if self.per_point else [({}, groups)]):
+            limits = self.limits(point, cfg)
+            if limits is None:
+                continue
+            value = self.stat(part, cfg)
+            ok = ok and value is not None and limits[0] <= value <= limits[1]
+            where = " ".join(f"{key}={val}" for key, val in point.items())
+            parts.append(f"{where or 'all records'}: {value} in [{limits[0]}, {limits[1]}]")
+            if self.summary is not None:
+                summary.setdefault(self.summary[0], {})[self.summary[1](point)] = value
+        return CheckOutcome(self.name, ok, "; ".join(parts))
+
+
+def share(name: str, test, need=lambda cfg: 1.0, **kw) -> Check:
+    """The share of records passing test(record, cfg) is at least need(cfg);
+    a test result of None leaves the record out."""
+    def stat(groups: Groups, cfg: ExperimentConfig) -> Optional[float]:
+        return _agg(np.mean, (test(r, cfg) for _, recs in groups for r in recs))
+    return Check(name, stat, lambda point, cfg: (need(cfg), 1.0), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +313,28 @@ def _weighted_slope(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray) -> float:
 
 
 class _Experiment:
-    """One experiment: grid keys, per-task record, summary + checks."""
+    """One experiment: its accepted grid keys (one tuple per accepted form),
+    its options with their defaults, the grid keys whose values must be
+    positive, the per-task record, and the declared summary and checks."""
 
     name: str = ""
-    grid_keys: tuple[str, ...] = ()
+    grids: tuple[tuple[str, ...], ...] = ()
+    option_defaults: dict = {}
+    positive: tuple[str, ...] = ()
+    summary: dict = {}
+    checks: tuple[Check, ...] = ()
 
-    def accepted_grids(self, grid: dict) -> tuple[str, ...]:
-        return self.grid_keys
+    def grid_keys(self, grid: dict) -> tuple[str, ...]:
+        """The accepted form `grid` uses: the first whose keys it all has."""
+        return next((form for form in self.grids if set(form) <= set(grid)),
+                    self.grids[0])
+
+    def assertion_keys(self) -> list[str]:
+        return [key for check in self.checks if check.when is None
+                for key in (check.name, *check.params)]
 
     def validate(self, cfg: ExperimentConfig) -> None:
         pass
-
-    def columns(self, cfg: ExperimentConfig) -> list[str]:
-        raise NotImplementedError
 
     def task(self, options: dict, base_seed: int, point_index: int,
              point: dict, replicate: int) -> dict:
@@ -230,7 +342,25 @@ class _Experiment:
 
     def summarize(self, cfg: ExperimentConfig,
                   records: list[dict]) -> tuple[dict, list[CheckOutcome]]:
-        return {}, []
+        points = cfg.points()
+        groups = [(points[pi], list(recs))
+                  for pi, recs in groupby(records, key=itemgetter("_point"))]
+        summary = {key: build(groups, cfg) for key, build in self.summary.items()}
+        checks = [check.run(groups, summary, cfg)
+                  for check in self.checks if check.active(cfg)]
+        return summary, checks
+
+
+_median_q_swap = _of(np.median, "q_swap")
+_q_swap_slope = _loglog_slope("np", _median_q_swap)
+
+
+def _growth_floor(point: dict, cfg: ExperimentConfig):
+    """min_median_factor * sqrt((1-p)/np), at points with np >= min_median_np."""
+    a, n, npv = cfg.assertions, point["n"], point["np"]
+    if npv < float(a.get("min_median_np", 0.0)):
+        return None
+    return a["min_median_factor"] * math.sqrt((1.0 - npv / n) / npv), math.inf
 
 
 class GrowthRate(_Experiment):
@@ -239,21 +369,30 @@ class GrowthRate(_Experiment):
     upper witness."""
 
     name = "growth-rate"
-    grid_keys = ("n", "np")
+    grids = (("n", "np"),)
+    option_defaults = {"upper_witness": False, "solver": "extremal", "tol": 1e-3,
+                       "max_iter": 200_000}
+    positive = ("np",)
+    summary = {"medians": _rows(("n", "np"), median_q_swap=_median_q_swap),
+               "slope": _q_swap_slope}
+    checks = (
+        Check("slope_range", _q_swap_slope,
+              lambda point, cfg: cfg.assertions["slope_range"], per_point=False),
+        Check("min_median_factor", _median_q_swap, _growth_floor,
+              params=("min_median_np",)),
+        share("witness_bound",
+              lambda r, cfg: r["upper_witness"] <= float(
+                  cfg.assertions["witness_bound"]["bound_factor"]) / math.sqrt(r["np"]),
+              need=lambda cfg: float(
+                  cfg.assertions["witness_bound"].get("min_fraction", 0.9)),
+              summary=("witness_pass_fraction", lambda point: str(point["np"]))),
+        share("lower_le_upper", lambda r, cfg: r["q_swap"] <= r["upper_witness"] + 1e-8,
+              when=lambda cfg: cfg.options["upper_witness"]),
+    )
 
     def validate(self, cfg):
-        for npv in cfg.grid["np"]:
-            if npv <= 0:
-                raise ValueError("np must be positive")
-        if "witness_bound" in cfg.assertions and not cfg.options.get("upper_witness"):
+        if "witness_bound" in cfg.assertions and not cfg.options["upper_witness"]:
             raise ValueError("witness_bound assertion needs options.upper_witness")
-
-    def columns(self, cfg):
-        cols = ["n", "np", "p", "seed", "m", "q_swap", "t_star", "swap_count"]
-        if cfg.options.get("upper_witness", False):
-            cols += ["lambda_pruned", "removed_edge_frac", "upper_witness",
-                     "witness_converged"]
-        return cols
 
     def task(self, options, base_seed, point_index, point, replicate):
         n, npv = int(point["n"]), float(point["np"])
@@ -265,12 +404,12 @@ class GrowthRate(_Experiment):
                "seed": replicate, "m": g.m, "q_swap": q,
                "t_star": trace.t_star,
                "swap_count": int(np.count_nonzero(trace.swaps))}
-        if options.get("upper_witness", False):
+        if options["upper_witness"]:
             witness = spectral_upper_witness(
                 g, p,
-                method=options.get("solver", "extremal"),
-                tol=float(options.get("tol", 1e-3)),
-                max_iter=int(options.get("max_iter", 200_000)))
+                method=options["solver"],
+                tol=float(options["tol"]),
+                max_iter=int(options["max_iter"]))
             rec.update({
                 "lambda_pruned": witness.lambda_bar,
                 "removed_edge_frac": witness.removed_fraction,
@@ -279,96 +418,25 @@ class GrowthRate(_Experiment):
             })
         return rec
 
-    def summarize(self, cfg, records):
-        groups = _group_by_point(records)
-        points = cfg.points()
-        medians = {}
-        for pi, recs in groups.items():
-            medians[pi] = float(np.median([r["q_swap"] for r in recs]))
-        summary: dict[str, Any] = {
-            "medians": [{"n": points[pi]["n"], "np": points[pi]["np"],
-                         "median_q_swap": med} for pi, med in sorted(medians.items())],
-        }
-        distinct = {points[pi]["np"] for pi in groups}
-        slope = None
-        if len(distinct) >= 2:
-            xs = np.array([math.log(points[pi]["np"]) for pi in sorted(groups)])
-            ys = np.array([math.log(max(medians[pi], 1e-300)) for pi in sorted(groups)])
-            ws = np.array([float(len(groups[pi])) for pi in sorted(groups)])
-            slope = _weighted_slope(xs, ys, ws)
-        summary["slope"] = slope
-        checks: list[CheckOutcome] = []
-        want_slope = cfg.assertions.get("slope_range")
-        if want_slope is not None:
-            lo, hi = want_slope
-            ok = slope is not None and lo <= slope <= hi
-            checks.append(CheckOutcome(
-                "slope_range", ok, f"slope={slope} target=[{lo}, {hi}]"))
-        factor = cfg.assertions.get("min_median_factor")
-        if factor is not None:
-            cutoff = float(cfg.assertions.get("min_median_np", 0.0))
-            bad = []
-            for pi in sorted(groups):
-                n, npv = points[pi]["n"], points[pi]["np"]
-                if npv < cutoff:
-                    continue
-                target = factor * math.sqrt((1.0 - npv / n) / npv)
-                if medians[pi] < target:
-                    bad.append((npv, medians[pi], target))
-            checks.append(CheckOutcome(
-                "min_median_factor", not bad,
-                f"median q_swap >= {factor}*sqrt((1-p)/np) for np >= {cutoff}; "
-                f"violations={bad}"))
-        wb = cfg.assertions.get("witness_bound")
-        if wb is not None:
-            bound_factor = float(wb["bound_factor"])
-            min_fraction = float(wb.get("min_fraction", 0.9))
-            worst = []
-            for pi in sorted(groups):
-                npv = points[pi]["np"]
-                bound = bound_factor / math.sqrt(npv)
-                good = sum(1 for r in groups[pi] if r["upper_witness"] <= bound)
-                frac = good / len(groups[pi])
-                worst.append((npv, frac))
-                summary.setdefault("witness_pass_fraction", {})[str(npv)] = frac
-            ok = all(frac >= min_fraction for _, frac in worst)
-            checks.append(CheckOutcome(
-                "witness_bound", ok,
-                f"fraction with witness <= {bound_factor}/sqrt(np) per point: {worst}, "
-                f"need >= {min_fraction}"))
-        if cfg.options.get("upper_witness", False):
-            viol = [(r["np"], r["seed"]) for r in records
-                    if r["q_swap"] > r["upper_witness"] + 1e-8]
-            checks.append(CheckOutcome(
-                "lower_le_upper", not viol,
-                f"q_swap <= upper_witness + 1e-8 everywhere; violations={viol}"))
-        return summary, checks
-
 
 class SparsePhase(_Experiment):
     """Connected-components score in the sparse phase; the deficit 1 - q_C
     with its 1/(m(1-d)) companion prediction."""
 
     name = "sparse"
-
-    def accepted_grids(self, grid):
-        return ("n", "m") if "m" in grid else ("n", "np")
-
-    def validate(self, cfg):
-        if "np" in cfg.grid:
-            for npv in cfg.grid["np"]:
-                if npv <= 0:
-                    raise ValueError("np must be positive (m >= 1 enforced)")
-        if "m" in cfg.grid:
-            for m in cfg.grid["m"]:
-                if m < 1:
-                    raise ValueError("m must be >= 1")
-
-    def columns(self, cfg):
-        key = "m_target" if "m" in cfg.grid else "np"
-        return ["n", key, "seed", "m", "q_cc", "deficit", "deficit_prediction",
-                "d", "is_matching", "q_matching_theory", "n_components",
-                "largest_component_edges"]
+    grids = (("n", "np"), ("n", "m"))
+    positive = ("np", "m")
+    summary = {"min_q_cc": _of(min, "q_cc"), "mean_deficit": _of(np.mean, "deficit")}
+    checks = (
+        share("min_qcc",
+              lambda r, cfg: (None if r["q_cc"] is None
+                              else r["q_cc"] > cfg.assertions["min_qcc"]),
+              need=lambda cfg: float(cfg.assertions.get("fraction", 1.0)),
+              params=("fraction",)),
+        share("matching_consistent",
+              lambda r, cfg: (not r["is_matching"]
+                              or abs(r["q_cc"] - r["q_matching_theory"]) <= 1e-12)),
+    )
 
     def task(self, options, base_seed, point_index, point, replicate):
         n = int(point["n"])
@@ -405,44 +473,23 @@ class SparsePhase(_Experiment):
         })
         return rec
 
-    def summarize(self, cfg, records):
-        scored = [r for r in records if r["q_cc"] is not None]
-        summary = {"min_q_cc": min((r["q_cc"] for r in scored), default=None),
-                   "mean_deficit": (float(np.mean([r["deficit"] for r in scored]))
-                                    if scored else None)}
-        checks = []
-        min_qcc = cfg.assertions.get("min_qcc")
-        if min_qcc is not None:
-            frac_needed = float(cfg.assertions.get("fraction", 1.0))
-            good = sum(1 for r in scored if r["q_cc"] > min_qcc)
-            ok = scored and good / len(scored) >= frac_needed
-            checks.append(CheckOutcome(
-                "min_qcc", bool(ok),
-                f"{good}/{len(scored)} runs with q_cc > {min_qcc}, need {frac_needed}"))
-        if cfg.assertions.get("matching_consistent"):
-            bad = [r["seed"] for r in scored
-                   if r["is_matching"] and abs(r["q_cc"] - r["q_matching_theory"]) > 1e-12]
-            checks.append(CheckOutcome(
-                "matching_consistent", not bad,
-                f"matchings score exactly 1-1/m; violations={bad}"))
-        return summary, checks
-
 
 class ThresholdWindow(_Experiment):
     """q_C against the closed-form sandwich at p = (1+eps)/n, plus the
     dual-root prediction 1 - (1 - x^2/c^2)^2."""
 
     name = "threshold-window"
-    grid_keys = ("n", "eps")
+    grids = (("n", "eps"),)
+    summary = {"in_window_fraction": lambda groups, cfg: {
+        point["eps"]: _of(np.mean, "in_window")([(point, recs)], cfg)
+        for point, recs in groups}}
+    checks = (share("window_fraction", lambda r, cfg: r["in_window"],
+                    need=lambda cfg: cfg.assertions["window_fraction"]),)
 
     def validate(self, cfg):
         for eps in cfg.grid["eps"]:
             if not (0.0 < eps < 1.0):
                 raise EpsOutOfRangeError(f"eps={eps} outside (0, 1)")
-
-    def columns(self, cfg):
-        return ["n", "eps", "p", "seed", "m", "q_cc", "lower_bound",
-                "upper_bound", "in_window", "eq21_value", "x_dual"]
 
     @staticmethod
     def bounds(eps: float) -> tuple[float, float]:
@@ -465,21 +512,13 @@ class ThresholdWindow(_Experiment):
                 "in_window": bool(lo < q_cc < hi),
                 "eq21_value": eq21, "x_dual": x}
 
-    def summarize(self, cfg, records):
-        groups = _group_by_point(records)
-        points = cfg.points()
-        rates = {}
-        for pi, recs in groups.items():
-            rates[points[pi]["eps"]] = sum(r["in_window"] for r in recs) / len(recs)
-        summary = {"in_window_fraction": rates}
-        checks = []
-        frac = cfg.assertions.get("window_fraction")
-        if frac is not None:
-            ok = all(rate >= frac for rate in rates.values())
-            checks.append(CheckOutcome(
-                "window_fraction", ok,
-                f"in-window fraction per eps: {rates}, need >= {frac}"))
-        return summary, checks
+
+def _planted_limits(point: dict, cfg: ExperimentConfig) -> tuple[float, float]:
+    """Mean score within mean_tolerance of f(2)/sqrt(c) = 1/(2 sqrt(c)) for
+    k = 2; at least f(k)/sqrt(c) less the tolerance for k >= 3."""
+    k, tol = int(point["k"]), cfg.assertions["mean_tolerance"]
+    target = f_k(k) / math.sqrt(point["c"])
+    return target - tol, (target + tol if k == 2 else math.inf)
 
 
 class Planted(_Experiment):
@@ -489,7 +528,10 @@ class Planted(_Experiment):
     beta = c - x sqrt(c)/(k-1) with x just below sqrt(2(k-1)ln(k-1))."""
 
     name = "planted"
-    grid_keys = ("n", "c", "k")
+    grids = (("n", "c", "k"),)
+    option_defaults = {"x_factor": 0.999}
+    summary = {"means": _rows(("c", "k"), mean_score=_of(np.mean, "score"))}
+    checks = (Check("mean_tolerance", _of(np.mean, "score"), _planted_limits),)
 
     @staticmethod
     def rates(c: float, k: int, x_factor: float) -> tuple[float, float, float]:
@@ -506,7 +548,7 @@ class Planted(_Experiment):
         return (alpha - beta) ** 2 < 2.0 * c * k * k * math.log(k - 1) / (k - 1)
 
     def validate(self, cfg):
-        x_factor = float(cfg.options.get("x_factor", 0.999))
+        x_factor = float(cfg.options["x_factor"])
         for c in cfg.grid["c"]:
             for k in cfg.grid["k"]:
                 if int(k) < 2:
@@ -515,13 +557,9 @@ class Planted(_Experiment):
                 if beta < 0 or alpha <= 0:
                     raise ValueError(f"(c={c}, k={k}) gives negative rates")
 
-    def columns(self, cfg):
-        return ["n", "c", "k", "alpha", "beta", "seed", "m", "score",
-                "f_over_sqrt_c", "contiguity_ok"]
-
     def task(self, options, base_seed, point_index, point, replicate):
         n, c, k = int(point["n"]), float(point["c"]), int(point["k"])
-        alpha, beta, _ = self.rates(c, k, float(options.get("x_factor", 0.999)))
+        alpha, beta, _ = self.rates(c, k, float(options["x_factor"]))
         contiguous = self.contiguity_ok(alpha, beta, k, c)
         if not contiguous:
             warnings.warn(
@@ -538,33 +576,6 @@ class Planted(_Experiment):
                 "f_over_sqrt_c": f_k(k) / math.sqrt(c),
                 "contiguity_ok": contiguous}
 
-    def summarize(self, cfg, records):
-        groups = _group_by_point(records)
-        points = cfg.points()
-        means = {pi: float(np.mean([r["score"] for r in recs]))
-                 for pi, recs in groups.items()}
-        summary = {"means": [{"c": points[pi]["c"], "k": points[pi]["k"],
-                              "mean_score": means[pi]} for pi in sorted(means)]}
-        checks = []
-        tol = cfg.assertions.get("mean_tolerance")
-        if tol is not None:
-            bad = []
-            for pi in sorted(groups):
-                c, k = float(points[pi]["c"]), int(points[pi]["k"])
-                if k == 2:
-                    target = 0.5 / math.sqrt(c)
-                    if abs(means[pi] - target) > tol:
-                        bad.append((c, k, means[pi], target))
-                else:
-                    floor_val = f_k(k) / math.sqrt(c) - tol
-                    if means[pi] < floor_val:
-                        bad.append((c, k, means[pi], floor_val))
-            checks.append(CheckOutcome(
-                "mean_tolerance", not bad,
-                f"k=2 means within {tol} of 1/(2 sqrt(c)); k>=3 means >= "
-                f"f(k)/sqrt(c) - {tol}; violations={bad}"))
-        return summary, checks
-
 
 class SbmDistinguish(_Experiment):
     """Per seed, the planted-partition score on the two-block model against
@@ -572,12 +583,11 @@ class SbmDistinguish(_Experiment):
     fraction of seeds where the planted score exceeds the witness."""
 
     name = "sbm-distinguish"
-    grid_keys = ("n", "alpha", "beta")
-
-    def columns(self, cfg):
-        return ["n", "alpha", "beta", "seed", "planted_score", "witness",
-                "witness_converged", "separated", "snr",
-                "detectability_threshold"]
+    grids = (("n", "alpha", "beta"),)
+    option_defaults = {"solver": "extremal", "tol": 1e-3, "max_iter": 200_000}
+    summary = {"separation_rate": _rows(("alpha", "beta"), rate=_of(np.mean, "separated"))}
+    checks = (share("min_separation_rate", lambda r, cfg: r["separated"],
+                    need=lambda cfg: cfg.assertions["min_separation_rate"]),)
 
     def task(self, options, base_seed, point_index, point, replicate):
         n = int(point["n"])
@@ -590,9 +600,9 @@ class SbmDistinguish(_Experiment):
         g = gen_gnp(n, c_bar / n, _seed_key(base_seed, point_index, replicate, 1))
         witness = spectral_upper_witness(
             g, c_bar / n,
-            method=options.get("solver", "extremal"),
-            tol=float(options.get("tol", 1e-3)),
-            max_iter=int(options.get("max_iter", 200_000)))
+            method=options["solver"],
+            tol=float(options["tol"]),
+            max_iter=int(options["max_iter"]))
         return {"_point": point_index, "n": n, "alpha": alpha, "beta": beta,
                 "seed": replicate, "planted_score": score,
                 "witness": witness.value,
@@ -601,22 +611,24 @@ class SbmDistinguish(_Experiment):
                 "snr": (alpha - beta) ** 2 / (alpha + beta) if alpha + beta > 0 else 0.0,
                 "detectability_threshold": 2.0}
 
-    def summarize(self, cfg, records):
-        groups = _group_by_point(records)
-        points = cfg.points()
-        rates = {pi: sum(r["separated"] for r in recs) / len(recs)
-                 for pi, recs in groups.items()}
-        summary = {"separation_rate": [
-            {"alpha": points[pi]["alpha"], "beta": points[pi]["beta"],
-             "rate": rates[pi]} for pi in sorted(rates)]}
-        checks = []
-        min_rate = cfg.assertions.get("min_separation_rate")
-        if min_rate is not None:
-            ok = all(rate >= min_rate for rate in rates.values())
-            checks.append(CheckOutcome(
-                "min_separation_rate", ok,
-                f"separation rate per point: {rates}, need >= {min_rate}"))
-        return summary, checks
+
+def _tails(groups: Groups, cfg: ExperimentConfig) -> list[dict]:
+    """Per grid point and t: the share of samples with |q* - mean| >= t,
+    the bound 2 exp(-t^2 m / 2) and the Wilson sampling allowance."""
+    rows = []
+    for point, recs in groups:
+        m = int(point["m"])
+        qs = np.array([r["q_star"] for r in recs])
+        mean = float(qs.mean())
+        for t in map(float, cfg.options["t_values"]):
+            tail = int(np.count_nonzero(np.abs(qs - mean) >= t))
+            frac = tail / qs.size
+            bound = 2.0 * math.exp(-t * t * m / 2.0)
+            allowance = wilson_upper(tail, qs.size, float(cfg.options["wilson_z"])) - frac
+            rows.append({"n": point["n"], "m": m, "t": t, "empirical_tail": frac,
+                         "bound": bound, "wilson_allowance": allowance,
+                         "ok": frac <= bound + allowance})
+    return rows
 
 
 class Concentration(_Experiment):
@@ -624,56 +636,32 @@ class Concentration(_Experiment):
     against 2 exp(-t^2 m / 2) plus a Wilson sampling allowance."""
 
     name = "concentration"
-    grid_keys = ("n", "m")
+    grids = (("n", "m"),)
+    option_defaults = {"cap": ORACLE_CAP, "t_values": (0.2, 0.4, 0.6), "wilson_z": 3.0}
+    summary = {"tails": _tails}
+    checks = (Check("tails_ok", lambda groups, cfg: _agg(np.mean, (
+                        row["ok"] for row in _tails(groups, cfg))),
+                    lambda point, cfg: (1.0, 1.0)),)
 
     def validate(self, cfg):
-        from .oracle import ORACLE_CAP
-        from .spectral import TooLargeError
-        cap = int(cfg.options.get("cap", ORACLE_CAP))
+        cap = int(cfg.options["cap"])
         for n in cfg.grid["n"]:
             if n > cap:
                 raise TooLargeError(f"n={n} above oracle cap {cap}")
 
-    def columns(self, cfg):
-        return ["n", "m", "seed", "q_star"]
-
     def task(self, options, base_seed, point_index, point, replicate):
         n, m = int(point["n"]), int(point["m"])
         g = gen_gnm(n, m, _seed_key(base_seed, point_index, replicate))
-        q = exact_modularity(g, cap=int(options.get("cap", 10))).q_star_float
+        q = exact_modularity(g, cap=int(options["cap"])).q_star_float
         return {"_point": point_index, "n": n, "m": m,
                 "seed": replicate, "q_star": q}
 
-    def summarize(self, cfg, records):
-        groups = _group_by_point(records)
-        points = cfg.points()
-        t_values = [float(t) for t in cfg.options.get("t_values", [0.2, 0.4, 0.6])]
-        z = float(cfg.options.get("wilson_z", 3.0))
-        table = []
-        all_ok = True
-        for pi in sorted(groups):
-            m = int(points[pi]["m"])
-            qs = np.array([r["q_star"] for r in groups[pi]])
-            mean = float(qs.mean())
-            for t in t_values:
-                tail = int(np.count_nonzero(np.abs(qs - mean) >= t))
-                frac = tail / qs.size
-                bound = 2.0 * math.exp(-t * t * m / 2.0)
-                allowance = wilson_upper(tail, qs.size, z) - frac
-                ok = frac <= bound + allowance
-                all_ok &= ok
-                table.append({"n": points[pi]["n"], "m": m, "t": t,
-                              "empirical_tail": frac, "bound": bound,
-                              "wilson_allowance": allowance, "ok": ok})
-        summary = {"tails": table}
-        checks = []
-        if cfg.assertions.get("tails_ok"):
-            checks.append(CheckOutcome(
-                "tails_ok", all_ok,
-                "; ".join(f"t={row['t']}: tail={row['empirical_tail']:.4f} "
-                          f"<= {row['bound']:.4f}+{row['wilson_allowance']:.4f}"
-                          for row in table)))
-        return summary, checks
+
+def _first_moment_limits(point: dict, cfg: ExperimentConfig) -> tuple[float, float]:
+    """Mean X/m within a relative ratio_band of its first moment exp(-2c)."""
+    first_moment = math.exp(-2.0 * float(point["c"]))
+    half = cfg.assertions["ratio_band"] * first_moment
+    return first_moment - half, first_moment + half
 
 
 class IsolatedEdges(_Experiment):
@@ -683,27 +671,23 @@ class IsolatedEdges(_Experiment):
     or m < 2).  The first-moment value of X/m itself is e^{-2c}."""
 
     name = "isolated-edges"
-    grid_keys = ("n", "c")
-
-    def validate(self, cfg):
-        for c in cfg.grid["c"]:
-            if c <= 0:
-                raise ValueError("c must be positive")
-
-    def columns(self, cfg):
-        return ["n", "c", "p", "seed", "m", "isolated_edges", "ratio",
-                "prediction", "q_cc", "floor_ok"]
+    grids = (("n", "c"),)
+    positive = ("c",)
+    summary = {"ratios": _rows(("n", "c"), mean_ratio=_of(np.mean, "ratio"),
+                               prediction=_of(lambda values: values[0], "prediction"))}
+    checks = (
+        share("floor_all_ok", lambda r, cfg: r["floor_ok"] is not False),
+        Check("ratio_band", _of(np.mean, "ratio"), _first_moment_limits),
+    )
 
     def task(self, options, base_seed, point_index, point, replicate):
         n, c = int(point["n"]), float(point["c"])
         p = c / n
         g = gen_gnp(n, p, _seed_key(base_seed, point_index, replicate))
         rec = {"_point": point_index, "n": n, "c": c, "p": p,
-               "seed": replicate, "m": g.m,
-               "prediction": 0.5 * math.exp(-2.0 * c)}
+               "seed": replicate, "m": g.m, "isolated_edges": 0, "ratio": None,
+               "prediction": 0.5 * math.exp(-2.0 * c), "q_cc": None, "floor_ok": None}
         if g.m == 0:
-            rec.update({"isolated_edges": 0, "ratio": None, "q_cc": None,
-                        "floor_ok": None})
             return rec
         comp = connected_components(g)
         sizes = comp.part_sizes()
@@ -717,38 +701,6 @@ class IsolatedEdges(_Experiment):
         rec.update({"isolated_edges": x, "ratio": x / g.m, "q_cc": q_cc,
                     "floor_ok": floor_ok})
         return rec
-
-    def summarize(self, cfg, records):
-        groups = _group_by_point(records)
-        points = cfg.points()
-        summary_rows = []
-        for pi in sorted(groups):
-            ratios = [r["ratio"] for r in groups[pi] if r["ratio"] is not None]
-            summary_rows.append({
-                "n": points[pi]["n"], "c": points[pi]["c"],
-                "mean_ratio": float(np.mean(ratios)) if ratios else None,
-                "prediction": groups[pi][0]["prediction"],
-            })
-        summary = {"ratios": summary_rows}
-        checks = []
-        if cfg.assertions.get("floor_all_ok"):
-            bad = [(r["c"], r["seed"]) for r in records if r["floor_ok"] is False]
-            checks.append(CheckOutcome(
-                "floor_all_ok", not bad,
-                f"q_cc >= min(X/m, 1/2) on every sample; violations={bad}"))
-        band = cfg.assertions.get("ratio_band")
-        if band is not None:
-            bad = []
-            for row in summary_rows:
-                if row["mean_ratio"] is None:
-                    continue
-                first_moment = math.exp(-2.0 * float(row["c"]))
-                if abs(row["mean_ratio"] - first_moment) > band * first_moment:
-                    bad.append(row)
-            checks.append(CheckOutcome(
-                "ratio_band", not bad,
-                f"mean X/m within {band:.0%} of exp(-2c); violations={bad}"))
-        return summary, checks
 
 
 EXPERIMENTS: dict[str, _Experiment] = {

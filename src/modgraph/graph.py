@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,14 +24,12 @@ __all__ = [
     "Graph",
     "Partition",
     "ModularityBreakdown",
-    "ComponentStats",
     "EmptyGraphError",
     "InvalidPartitionError",
     "EdgeListFormatError",
     "modularity_score",
     "modularity_exact",
     "connected_components",
-    "component_stats",
     "degree_tax_bounds_check",
     "induced_subgraph",
     "strip_isolated",
@@ -296,12 +294,6 @@ class ModularityBreakdown:
     score: float
 
 
-class ComponentStats(NamedTuple):
-    size: int
-    edges: int
-    vol: int
-
-
 def _score_counts(g: Graph, p: Partition) -> tuple[int, int]:
     """Exact integer internals: (edges inside parts, sum of squared volumes)."""
     if p.n != g.n:
@@ -345,16 +337,6 @@ def connected_components(g: Graph) -> Partition:
                      shape=(g.n, g.n))
     _, labels = _cc(mat, directed=False)
     return Partition.from_labels(labels)
-
-
-def component_stats(g: Graph) -> list[ComponentStats]:
-    """Per-component (size, edge count, volume), in component-id order."""
-    comp = connected_components(g)
-    sizes = comp.part_sizes()
-    vols = comp.part_volumes(g)
-    edges = np.bincount(comp.assign[g.edge_u], minlength=comp.k)
-    return [ComponentStats(int(s), int(e), int(w))
-            for s, e, w in zip(sizes, edges, vols)]
 
 
 def degree_tax_bounds_check(g: Graph, p: Partition) -> bool:
@@ -477,13 +459,21 @@ def read_partition(path_or_file) -> Partition:
         fields = fh.readline().split()
         if len(fields) != 2:
             raise EdgeListFormatError(1, "expected header 'n k'")
-        n, k = int(fields[0]), int(fields[1])
+        try:
+            n, k = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise EdgeListFormatError(1, "expected integer header 'n k'") from None
+        if n < 0:
+            raise EdgeListFormatError(1, "n must be non-negative")
         assign = np.empty(n, dtype=np.int64)
         for i in range(n):
             line = fh.readline()
             if not line:
                 raise EdgeListFormatError(i + 2, "file ended early")
-            assign[i] = int(line.split()[0])
+            try:
+                assign[i] = int(line.split()[0])
+            except (IndexError, ValueError):
+                raise EdgeListFormatError(i + 2, "expected an integer part id") from None
         part = Partition(assign)
         if part.k != k:
             raise EdgeListFormatError(1, f"header declares k={k} but ids use {part.k} parts")

@@ -1,5 +1,5 @@
 """Partition-construction heuristics: odd/even bisection, the linear-time
-Swap improvement, planted-label partitions, and greedy coarsening.
+Swap improvement, and planted-label partitions.
 
 Vertex-index convention used throughout: the classical 1-based labels
 1..n map to 0-based indices by subtracting 1.  The odd-label side is the
@@ -9,7 +9,6 @@ even 0-based indices; Swap's pair i (1-based) is the index pair
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "swap_bisection",
     "planted_partition",
     "f_k",
-    "coarsen_to_k",
 ]
 
 
@@ -56,15 +54,6 @@ class SwapTrace:
     def __post_init__(self):
         self.swaps.setflags(write=False)
         self.t_values.setflags(write=False)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "k": self.k,
-            "swaps": self.swaps.astype(int).tolist(),
-            "t_values": self.t_values.tolist(),
-            "t_star": self.t_star,
-            "final_cut": self.final_cut,
-        })
 
 
 def odd_even_bisection(n: int) -> Partition:
@@ -160,38 +149,3 @@ def f_k(k: int) -> float:
         return 0.5
     return math.sqrt(2.0 * (k - 1) * math.log(k - 1)) / k
 
-
-def _merge_gain_numerators(g: Graph, assign: np.ndarray, k: int) -> np.ndarray:
-    """4m^2-scaled score change for merging each part pair: entry (i, j) is
-    4m * e(i,j) - 2 vol_i vol_j, exact in int64."""
-    cross = np.zeros((k, k), dtype=np.int64)
-    au = assign[g.edge_u]
-    av = assign[g.edge_v]
-    np.add.at(cross, (np.minimum(au, av), np.maximum(au, av)), 1)
-    vols = np.bincount(assign, weights=g.deg, minlength=k).astype(np.int64)
-    gain = 4 * g.m * cross - 2 * np.outer(vols, vols)
-    return gain
-
-
-def coarsen_to_k(g: Graph, p: Partition, k: int) -> Partition:
-    """Greedy coarsening: repeatedly merge the two parts whose merge least
-    decreases the score until at most k parts remain.  Identity when
-    p.k <= k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if g.m == 0:
-        raise EmptyGraphError("coarsening needs at least one edge")
-    if p.k <= k:
-        return p
-    assign = p.assign.astype(np.int64).copy()
-    cur_k = p.k
-    while cur_k > k:
-        gain = _merge_gain_numerators(g, assign, cur_k)
-        iu = np.triu_indices(cur_k, k=1)
-        flat = gain[iu]
-        best = int(np.argmax(flat))  # first index wins ties: lexicographic (i, j)
-        i, j = int(iu[0][best]), int(iu[1][best])
-        assign[assign == j] = i
-        assign[assign > j] -= 1
-        cur_k -= 1
-    return Partition.from_labels(assign)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (EmptyGraphError, Graph, Partition, connected_components,
-                    induced_subgraph)
+from .graph import EmptyGraphError, Graph, connected_components, induced_subgraph
 
 __all__ = [
     "DENSE_CAP",
@@ -38,7 +37,6 @@ __all__ = [
     "spectral_summary",
     "extremal_gap",
     "spectral_gap_extremal",
-    "spectral_modularity_bound",
     "discrepancy_audit",
     "prune",
     "spectral_upper_witness",
@@ -220,12 +218,6 @@ def spectral_gap_extremal(g: Graph, tol: float = 1e-6,
     if not est.converged:
         raise NoConvergenceError(est.value, est.iterations, est.residual)
     return est.value
-
-
-def spectral_modularity_bound(g: Graph, p: Partition, cap: int = DENSE_CAP) -> float:
-    """Upper bound gap * (1 - 1/k) on the score of any k-part partition."""
-    summary = spectral_summary(g, cap=cap)
-    return summary.gap * (1.0 - 1.0 / p.k)
 
 
 def _subset_stats_exhaustive(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,11 @@
 """Experiment harness: config validation, record schemas, closed-form
 columns, CSV determinism across worker counts, and check wiring."""
 
+import glob
+import hashlib
 import io
 import math
+import os
 
 import pytest
 
@@ -36,6 +39,39 @@ class TestConfig:
             ExperimentConfig.from_dict({"experiment": "sparse",
                                         "grid": {"n": [5], "np": [0.5]},
                                         "bogus": 1})
+
+    def test_unknown_grid_key(self):
+        with pytest.raises(ValueError, match=r"grid key 'eps'; accepted: \(n, np\)"):
+            cfg(grid={"n": [500], "np": [0.5], "eps": [0.1]})
+        # the two sparse grid forms do not mix
+        with pytest.raises(ValueError, match="grid key 'm'"):
+            cfg(grid={"n": [500], "np": [0.5], "m": [10]})
+
+    def test_unknown_option_key(self):
+        with pytest.raises(ValueError, match="options key 'upper_witnes'; "
+                                             "accepted: upper_witness, solver"):
+            cfg(experiment="growth-rate", grid={"n": [100], "np": [4.0]},
+                options={"upper_witnes": True})
+        with pytest.raises(ValueError, match="options key 'tol'; accepted: none"):
+            cfg(options={"tol": 1e-3})
+
+    def test_unknown_assertion_key(self):
+        with pytest.raises(ValueError, match="sparse does not accept assertions key "
+                                             "'min_qc'; accepted: min_qcc, fraction"):
+            cfg(assertions={"min_qc": 2.0})
+
+    def test_shipped_configs_load(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+        paths = sorted(glob.glob(os.path.join(root, "*.json")))
+        assert paths
+        for path in paths:
+            ExperimentConfig.from_file(path)
+
+    def test_option_defaults_filled_in(self):
+        from modgraph.oracle import ORACLE_CAP
+        c = cfg(experiment="concentration", grid={"n": [8], "m": [10]})
+        assert c.options["cap"] == ORACLE_CAP
+        assert c.options["t_values"] == (0.2, 0.4, 0.6)
 
     def test_eps_range(self):
         with pytest.raises(EpsOutOfRangeError):
@@ -149,6 +185,14 @@ class TestSparse:
             else:
                 assert r["q_matching_theory"] is None
 
+    def test_min_qcc_checked_per_point(self):
+        # every run at np=3 misses the bar; the np=0.5 runs must not carry it
+        c = cfg(grid={"n": [300], "np": [0.5, 3.0]}, replicates=4,
+                assertions={"min_qcc": 0.9, "fraction": 0.5})
+        (check,) = run_experiment(c).checks
+        assert not check.passed
+        assert "n=300 np=3.0: 0.0 " in check.detail
+
     def test_deficit_prediction_blank_when_supercritical(self):
         c = cfg(grid={"n": [200], "np": [3.0]}, replicates=2, base_seed=13)
         res = run_experiment(c)
@@ -168,6 +212,18 @@ class TestThresholdWindow:
         # dual-root prediction column present and sane
         assert 0.0 < rec["eq21_value"] < 1.0
         assert 0.75 < rec["x_dual"] < 0.875
+
+    def test_window_fraction_checked_per_point(self):
+        # n=50 sits far outside the large-n window while n=1e5 sits inside
+        # it; the failing point must not hide behind the passing one
+        c = cfg(experiment="threshold-window",
+                grid={"n": [50, 100_000], "eps": [0.2]}, replicates=10,
+                base_seed=3, assertions={"window_fraction": 0.9})
+        res = run_experiment(c)
+        (check,) = res.checks
+        assert not check.passed
+        assert "n=50 eps=0.2: 0.1 " in check.detail
+        assert "n=100000 eps=0.2: 1.0 " in check.detail
 
     def test_eps_tiny_bounds_near_one(self):
         # the sandwich width shrinks like 16 eps^2, so at eps = 1e-3 both
@@ -294,3 +350,58 @@ class TestPlantedContiguityWarning:
             _w.simplefilter("error", RuntimeWarning)
             res = run_experiment(c)
         assert res.records[0]["contiguity_ok"] is True
+
+
+# sha256 of the CSV of one small config per experiment (two grid forms for
+# sparse, growth-rate with and without the upper witness).  They pin the
+# column order, the blank cells and the float formatting of every task
+# record.  Together these run in about a second.
+GOLDEN_CSV = [
+    ("growth-rate",
+     {"experiment": "growth-rate", "grid": {"n": [600], "np": [8.0, 16.0]},
+      "replicates": 3, "base_seed": 17},
+     "6a266755e3e47cac3922b1d1e5799ecb4733de2616a3df9be8251331d0979e17"),
+    ("growth-rate-witness",
+     {"experiment": "growth-rate", "grid": {"n": [800], "np": [32.0]},
+      "replicates": 2, "base_seed": 5,
+      "options": {"upper_witness": True, "solver": "extremal", "tol": 1e-3}},
+     "0d6fe8de9c716cdcfa965f37995a06e7f19475e72bfcd6e13a69dbfa649db54b"),
+    ("sparse-np",
+     {"experiment": "sparse", "grid": {"n": [300], "np": [0.01, 0.5, 3.0]},
+      "replicates": 3, "base_seed": 5},
+     "1c16fcd706fa45b97e850d100537df377163f026cad573937cce54e2d60bd083"),
+    ("sparse-m",
+     {"experiment": "sparse", "grid": {"n": [2000], "m": [10, 50]},
+      "replicates": 3, "base_seed": 11},
+     "81d4b7983c3c116a41e32ef4bd6c105488628d786a3da930f53a2318283b8212"),
+    ("threshold-window",
+     {"experiment": "threshold-window", "grid": {"n": [2000], "eps": [0.2, 0.25]},
+      "replicates": 2, "base_seed": 19},
+     "bdafd516e0444ae74a1d072ce9e8230683ab1345ca2e7aa696ac91c3e66e5448"),
+    ("planted",
+     {"experiment": "planted", "grid": {"n": [3000], "c": [9.0], "k": [2, 6]},
+      "replicates": 2, "base_seed": 23},
+     "bec0f3e97dbb5a2740a4128e703aaf4e1769a23ec57d8c9918c463decded1ef0"),
+    ("sbm-distinguish",
+     {"experiment": "sbm-distinguish",
+      "grid": {"n": [2000], "alpha": [40.0], "beta": [8.0]},
+      "replicates": 2, "base_seed": 31},
+     "6e7fc41eac1bc945964ed9ee06a1140ec469feb5184bf1429f628fc1ca84ba9a"),
+    ("concentration",
+     {"experiment": "concentration", "grid": {"n": [7], "m": [8]},
+      "replicates": 20, "base_seed": 41},
+     "6d6cf25a7c04048cebfb5a4ef93ca42ae1cd6585c1beadfe726137724ce917e7"),
+    ("isolated-edges",
+     {"experiment": "isolated-edges", "grid": {"n": [50, 3000], "c": [0.02, 2.0]},
+      "replicates": 3, "base_seed": 43},
+     "7156d9f23f45ca4f201ad17d8f7194021f8453e58b71276be135c1834d674a05"),
+]
+
+
+@pytest.mark.parametrize("raw,digest", [case[1:] for case in GOLDEN_CSV],
+                         ids=[case[0] for case in GOLDEN_CSV])
+def test_golden_csv_digest(raw, digest):
+    res = run_experiment(ExperimentConfig.from_dict(raw))
+    buf = io.StringIO()
+    res.write_csv(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

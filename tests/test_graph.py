@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modgraph.graph import (ComponentStats, EdgeListFormatError, EmptyGraphError,
-                            Graph, InvalidPartitionError, Partition,
-                            component_stats, connected_components,
-                            degree_tax_bounds_check, induced_subgraph,
+from modgraph.graph import (EdgeListFormatError, EmptyGraphError, Graph,
+                            InvalidPartitionError, Partition,
+                            connected_components, degree_tax_bounds_check,
+                            induced_subgraph,
                             modularity_exact, modularity_score, read_edgelist,
                             read_partition, strip_isolated, write_edgelist,
                             write_partition)
@@ -178,20 +178,28 @@ class TestComponents:
         p = connected_components(Graph(5, [(3, 4), (0, 2)]))
         assert p.assign.tolist() == [0, 1, 0, 2, 2]
 
+    @staticmethod
+    def _stats(g):
+        """(size, edges, volume) per component, read off the components
+        partition the way the sweep harness reads them."""
+        comp = connected_components(g)
+        edges = np.bincount(comp.assign[g.edge_u], minlength=comp.k)
+        return list(zip(comp.part_sizes().tolist(), edges.tolist(),
+                        comp.part_volumes(g).tolist()))
+
     def test_component_stats_examples(self):
-        assert component_stats(Graph(4, [(0, 1), (2, 3)])) == [
-            ComponentStats(2, 1, 2), ComponentStats(2, 1, 2)]
-        assert component_stats(Graph(4, [(0, 1), (0, 2), (1, 2)])) == [
-            ComponentStats(3, 3, 6), ComponentStats(1, 0, 0)]
-        assert component_stats(cycle(4)) == [ComponentStats(4, 4, 8)]
+        assert self._stats(Graph(4, [(0, 1), (2, 3)])) == [(2, 1, 2), (2, 1, 2)]
+        assert self._stats(Graph(4, [(0, 1), (0, 2), (1, 2)])) == [
+            (3, 3, 6), (1, 0, 0)]
+        assert self._stats(cycle(4)) == [(4, 4, 8)]
 
     def test_component_stats_sums(self):
         for i in range(30):
             g = random_graph_sized(make_rng(6, i), 2, 14, min_edges=0)
-            stats = component_stats(g)
-            assert sum(s.size for s in stats) == g.n
-            assert sum(s.edges for s in stats) == g.m
-            assert sum(s.vol for s in stats) == 2 * g.m
+            sizes, edges, vols = zip(*self._stats(g))
+            assert sum(sizes) == g.n
+            assert sum(edges) == g.m
+            assert sum(vols) == 2 * g.m
 
 
 class TestDegreeTaxBounds:
@@ -274,6 +282,17 @@ class TestPartitionFormat:
     def test_header_mismatch(self):
         with pytest.raises(EdgeListFormatError, match="declares k=3"):
             read_partition(io.StringIO("2 3\n0\n1\n"))
+
+    @pytest.mark.parametrize("text,line", [
+        ("3 2\n0\n\n1\n", 3),   # blank id line
+        ("3 2\n0\nx\n1\n", 3),  # non-integer id
+        ("a b\n0\n", 1),        # non-integer header
+        ("-1 0\n", 1),          # negative vertex count
+    ])
+    def test_malformed_lines_raise_typed_error(self, text, line):
+        with pytest.raises(EdgeListFormatError, match=f"^line {line}: ") as err:
+            read_partition(io.StringIO(text))
+        assert err.value.line == line
 
 
 def _pairwise_definition_score(g, p):

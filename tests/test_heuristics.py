@@ -1,7 +1,6 @@
 """Heuristics: odd/even baseline, the Swap improvement and its exact cut
-identity, planted partitions, f(k), and greedy coarsening."""
+identity, planted partitions, and f(k)."""
 
-import json
 import math
 
 import numpy as np
@@ -10,12 +9,9 @@ import pytest
 from modgraph.generators import gen_gnp, gen_planted, substream
 from modgraph.graph import (EmptyGraphError, Graph, Partition,
                             modularity_exact, modularity_score)
-from modgraph.heuristics import (KTooSmallError, TooSmallError, coarsen_to_k,
-                                 f_k, odd_even_bisection, planted_partition,
+from modgraph.heuristics import (KTooSmallError, TooSmallError, f_k,
+                                 odd_even_bisection, planted_partition,
                                  swap_bisection, swap_zones)
-from modgraph.oracle import exact_modularity
-
-from _samplers import random_graph_sized, make_rng
 
 
 class TestOddEven:
@@ -124,16 +120,6 @@ class TestSwapBisection:
         part, _ = swap_bisection(g)
         assert sorted(part.part_sizes().tolist()) == [60, 60]
 
-    def test_trace_json(self):
-        g = gen_gnp(60, 0.15, substream(816))
-        _, trace = swap_bisection(g)
-        payload = json.loads(trace.to_json())
-        assert payload["k"] == 10
-        assert payload["t_star"] == trace.t_star
-        assert payload["final_cut"] == trace.final_cut
-        assert len(payload["swaps"]) == len(payload["t_values"]) == 20
-        assert all(isinstance(s, int) for s in payload["swaps"])
-
     def test_score_beats_square_root_rate(self):
         # one point of the growth-rate picture at test scale
         n, npv = 20_000, 64.0
@@ -234,46 +220,3 @@ class TestFk:
         with pytest.raises(KTooSmallError):
             f_k(1)
 
-
-class TestCoarsen:
-    def test_identity_when_few_parts(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        p = Partition([0, 0, 1, 1])
-        assert coarsen_to_k(g, p, 2) is p
-        assert coarsen_to_k(g, p, 5) is p
-
-    def test_to_one_part_scores_zero(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        p = coarsen_to_k(g, Partition([0, 0, 1, 1]), 1)
-        assert p.k == 1 and modularity_score(g, p).score == 0.0
-
-    def test_exact_part_counts(self):
-        for i in range(25):
-            rng = make_rng(9, i)
-            g = random_graph_sized(rng, 6, 12)
-            p = Partition.singletons(g.n)
-            for k in (1, 2, 3, g.n):
-                assert coarsen_to_k(g, p, k).k == min(k, p.k)
-
-    def test_single_merge_is_best_available(self):
-        # one step loses no more than the least-bad merge
-        for i in range(25):
-            rng = make_rng(10, i)
-            g = random_graph_sized(rng, 5, 9)
-            p = Partition.singletons(g.n)
-            merged = coarsen_to_k(g, p, p.k - 1)
-            base = modularity_exact(g, p)
-            got = modularity_exact(g, merged)
-            best = max(
-                modularity_exact(g, Partition.from_labels(
-                    np.where(p.assign == j, i2, p.assign)))
-                for i2 in range(p.k) for j in range(i2 + 1, p.k))
-            assert got == best >= base + (got - base)
-
-    def test_never_above_oracle(self):
-        for i in range(10):
-            rng = make_rng(11, i)
-            g = random_graph_sized(rng, 5, 8)
-            p = Partition.singletons(g.n)
-            q2 = coarsen_to_k(g, p, 2)
-            assert modularity_exact(g, q2) <= exact_modularity(g).q_star

@@ -15,8 +15,7 @@ from modgraph.spectral import (IsolatedVertexError,
                                NoConvergenceError, TooLargeError,
                                discrepancy_audit, extremal_gap,
                                normalized_laplacian, prune,
-                               spectral_gap_extremal,
-                               spectral_modularity_bound, spectral_summary,
+                               spectral_gap_extremal, spectral_summary,
                                spectral_upper_witness)
 
 from _samplers import (random_connected_graph, random_graph_sized,
@@ -138,22 +137,27 @@ class TestExtremalGap:
         assert good >= 95
 
 
+def _gap_bound(g, p):
+    """Spectral upper bound gap * (1 - 1/k) on the score of a k-part partition."""
+    return spectral_summary(g).gap * (1 - 1 / p.k)
+
+
 class TestModularityBound:
     def test_k4_balanced(self):
-        bound = spectral_modularity_bound(complete(4), Partition([0, 0, 1, 1]))
+        bound = _gap_bound(complete(4), Partition([0, 0, 1, 1]))
         assert bound == pytest.approx(1 / 6, abs=1e-10)
         q = modularity_score(complete(4), Partition([0, 0, 1, 1])).score
         assert q <= 0 <= bound
 
     def test_trivial_partition(self):
         g = path(4)
-        assert spectral_modularity_bound(g, Partition.trivial(4)) == 0.0
+        assert _gap_bound(g, Partition.trivial(4)) == 0.0
         assert modularity_score(g, Partition.trivial(4)).score == 0.0
 
     def test_p4_split(self):
         g = path(4)
         p = Partition([0, 0, 1, 1])
-        assert modularity_score(g, p).score <= spectral_modularity_bound(g, p) + 1e-8
+        assert modularity_score(g, p).score <= _gap_bound(g, p) + 1e-8
 
     def test_random_partitions_bounded(self):
         for i in range(40):
@@ -161,7 +165,7 @@ class TestModularityBound:
             g = random_connected_graph(rng, 4, 12)
             p = random_partition(rng, g.n)
             q = modularity_score(g, p).score
-            assert q <= spectral_modularity_bound(g, p) + 1e-8
+            assert q <= _gap_bound(g, p) + 1e-8
 
     def test_oracle_below_gap(self):
         for i in range(30):
