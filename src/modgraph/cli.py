@@ -24,7 +24,7 @@ from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .generators import GeneratorSpec, Model, sample
 from .graph import (modularity_score, read_edgelist, read_partition,
                     write_edgelist, write_partition)
-from .oracle import exact_modularity, exact_modularity_k
+from .oracle import ORACLE_CAP, exact_modularity, exact_modularity_k
 from .spectral import DENSE_CAP, spectral_gap_extremal, spectral_summary
 
 
@@ -149,8 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     par = sub.add_parser("oracle", help="exact q* of a small graph")
     par.add_argument("graph", help="edge-list file")
-    par.add_argument("--cap", type=int, default=10,
-                     help="max non-isolated vertices (warning beyond 10)")
+    par.add_argument("--cap", type=int, default=ORACLE_CAP,
+                     help="max non-isolated vertices (default %(default)s); "
+                          "the scan's cost grows as the Bell numbers")
     par.add_argument("--maximizers", action="store_true",
                      help="also print every optimal partition")
     par.add_argument("--max-parts", type=int, default=None,

@@ -232,6 +232,11 @@ def _of(fn, name: str):
     return lambda groups, cfg: _agg(fn, (r[name] for _, recs in groups for r in recs))
 
 
+def _where(point: dict) -> str:
+    """A grid point's label, e.g. "n=1000000 eps=0.2"."""
+    return " ".join(f"{key}={val}" for key, val in point.items())
+
+
 def _rows(keys: tuple[str, ...], **stats):
     """Per grid point, the named grid values, then each aggregate."""
     return lambda groups, cfg: [
@@ -266,8 +271,8 @@ class Check:
 
     The check runs when the config sets `name` to anything but false
     (`params` are further assertion keys it reads), or, given `when`, when
-    when(cfg) holds.  `summary` = (key, point -> name) also stores each
-    point's stat in the summary."""
+    when(cfg) holds.  `summary` = key also stores each point's stat in the
+    summary, under the point's label."""
 
     name: str
     stat: Callable[[Groups, ExperimentConfig], Optional[float]]
@@ -276,7 +281,7 @@ class Check:
     per_point: bool = True
     params: tuple[str, ...] = ()
     when: Optional[Callable[[ExperimentConfig], Any]] = None
-    summary: Optional[tuple[str, Callable[[dict], str]]] = None
+    summary: Optional[str] = None
 
     def active(self, cfg: ExperimentConfig) -> bool:
         if self.when is not None:
@@ -293,10 +298,10 @@ class Check:
                 continue
             value = self.stat(part, cfg)
             ok = ok and value is not None and limits[0] <= value <= limits[1]
-            where = " ".join(f"{key}={val}" for key, val in point.items())
+            where = _where(point)
             parts.append(f"{where or 'all records'}: {value} in [{limits[0]}, {limits[1]}]")
             if self.summary is not None:
-                summary.setdefault(self.summary[0], {})[self.summary[1](point)] = value
+                summary.setdefault(self.summary, {})[where] = value
         return CheckOutcome(self.name, ok, "; ".join(parts))
 
 
@@ -385,7 +390,7 @@ class GrowthRate(_Experiment):
                   cfg.assertions["witness_bound"]["bound_factor"]) / math.sqrt(r["np"]),
               need=lambda cfg: float(
                   cfg.assertions["witness_bound"].get("min_fraction", 0.9)),
-              summary=("witness_pass_fraction", lambda point: str(point["np"]))),
+              summary="witness_pass_fraction"),
         share("lower_le_upper", lambda r, cfg: r["q_swap"] <= r["upper_witness"] + 1e-8,
               when=lambda cfg: cfg.options["upper_witness"]),
     )
@@ -481,7 +486,7 @@ class ThresholdWindow(_Experiment):
     name = "threshold-window"
     grids = (("n", "eps"),)
     summary = {"in_window_fraction": lambda groups, cfg: {
-        point["eps"]: _of(np.mean, "in_window")([(point, recs)], cfg)
+        _where(point): _of(np.mean, "in_window")([(point, recs)], cfg)
         for point, recs in groups}}
     checks = (share("window_fraction", lambda r, cfg: r["in_window"],
                     need=lambda cfg: cfg.assertions["window_fraction"]),)

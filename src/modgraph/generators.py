@@ -183,16 +183,28 @@ def _row_starts(n: int) -> np.ndarray:
 
 
 def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map linear pair indices to (u, v); consumes `pos` as the v buffer."""
-    starts = _row_starts(n)
-    u = np.searchsorted(starts, pos, side="right")
-    u -= 1
-    v = pos
-    v -= starts[u]
-    v += u
-    v += 1
+    """Map sorted linear pair indices to (u, v); consumes `pos` as the v
+    buffer.  v = pos - (starts[u] - u - 1), where the row u of each index is
+    found by searching from the smaller side: below 2n indices (about where
+    the two costs cross), each index among the n row starts; otherwise each
+    row start among the indices, expanding per-row counts with np.repeat."""
     dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    return u.astype(dtype), v.astype(dtype)
+    starts = _row_starts(n)
+    if pos.size < 2 * n:
+        u = np.searchsorted(starts, pos, side="right")
+        u -= 1
+        shift = starts[u]
+        shift -= u
+        shift -= 1
+    else:
+        counts = np.diff(np.searchsorted(pos, starts), append=pos.size)
+        u = np.repeat(np.arange(n, dtype=dtype), counts)
+        starts -= np.arange(1, n + 1)
+        shift = np.repeat(starts, counts)
+    v = pos
+    v -= shift
+    del shift
+    return u.astype(dtype, copy=False), v.astype(dtype)
 
 
 def gen_gnp(n: int, p: float, seed) -> Graph:

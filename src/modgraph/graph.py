@@ -191,9 +191,9 @@ class Graph:
 class Partition:
     """Assignment of every vertex to one of k parts, ids contiguous 0..k-1.
 
-    Empty parts are forbidden so k is well-defined; use from_labels to
-    compress arbitrary labels (ids are then ordered by smallest contained
-    vertex).
+    Empty parts are forbidden so k is well-defined; the check is O(n) (no
+    sort).  Use from_labels to compress arbitrary labels (ids are then
+    ordered by smallest contained vertex).
     """
 
     __slots__ = ("assign", "k")
@@ -202,11 +202,12 @@ class Partition:
         arr = np.asarray(assign, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidPartitionError("assignment must be a non-empty vector")
-        used = np.unique(arr)
-        if int(used[0]) < 0:
+        if int(arr.min()) < 0:
             raise InvalidPartitionError("negative part id")
-        nk = int(used[-1]) + 1
-        if used.size != nk:
+        nk = int(arr.max()) + 1
+        # more ids than vertices leaves a part empty; checked before bincount
+        # allocates nk counters
+        if nk > arr.size or not np.bincount(arr, minlength=nk).all():
             raise InvalidPartitionError("part ids must be contiguous (no empty parts)")
         if k is not None and k != nk:
             raise InvalidPartitionError(f"declared k={k} but assignment uses {nk} parts")
@@ -221,14 +222,27 @@ class Partition:
     @classmethod
     def from_labels(cls, labels: Sequence[int] | np.ndarray) -> "Partition":
         """Compress arbitrary labels to contiguous ids in first-appearance
-        order, i.e. part ids ordered by smallest contained vertex."""
+        order, i.e. part ids ordered by smallest contained vertex.
+
+        O(n) without a sort when the labels are integers in [0, n), as
+        component labels, block labels and part ids are.  Any other labels
+        (negative, >= n, float, bool, string) are first compressed to that
+        range by one np.unique."""
         arr = np.asarray(labels)
-        _, first = np.unique(arr, return_index=True)
-        order = np.argsort(first, kind="stable")
-        remap = np.empty(order.size, dtype=np.int64)
-        remap[order] = np.arange(order.size)
-        _, inverse = np.unique(arr, return_inverse=True)
-        return cls(remap[inverse])
+        if arr.ndim != 1 or arr.size == 0:
+            raise InvalidPartitionError("assignment must be a non-empty vector")
+        n = arr.size
+        if not (arr.dtype.kind in "iu" and int(arr.min()) >= 0 and int(arr.max()) < n):
+            arr = np.unique(arr, return_inverse=True)[1]
+        # first[x]: the first position holding label x (n if none does)
+        first = np.full(n, n, dtype=np.intp)
+        np.minimum.at(first, arr, np.arange(n))
+        opens = np.zeros(n, dtype=bool)
+        opens[first[first < n]] = True
+        # a label's id is the number of labels opened before its first position
+        rank = np.cumsum(opens)
+        rank -= 1
+        return cls(rank[first[arr]])
 
     @classmethod
     def from_parts(cls, parts: Sequence[Sequence[int]], n: int) -> "Partition":

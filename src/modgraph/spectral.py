@@ -299,7 +299,8 @@ def spectral_upper_witness(g: Graph, p_model: float, *,
 
     Valid by the robustness bound for edge deletion plus the partition
     bound gap(H') >= q*(H'); restricting to one component keeps the gap
-    informative when the pruned core falls apart.
+    informative when the pruned core falls apart.  method="dense" raises
+    TooLargeError when H' has more than `cap` vertices.
     """
     if g.m == 0:
         raise EmptyGraphError("upper witness needs at least one edge")
@@ -314,7 +315,7 @@ def spectral_upper_witness(g: Graph, p_model: float, *,
     sub = induced_subgraph(core, np.flatnonzero(comps.assign == heavy))
     removed = g.m - sub.m
     if method == "dense" or (method == "auto" and sub.n <= cap):
-        lam = spectral_summary(sub, cap=max(cap, sub.n)).gap
+        lam = spectral_summary(sub, cap=cap).gap
         converged = True
     else:
         est = extremal_gap(sub, tol=tol, max_iter=max_iter, seed=seed)

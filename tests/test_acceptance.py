@@ -163,7 +163,7 @@ def test_criterion_05_upper_witness():
     result = run_experiment(cfg)
     elapsed = time.time() - t0
     assert result.passed, [c for c in result.checks if not c.passed]
-    frac = result.summary["witness_pass_fraction"]["100.0"]
+    frac = result.summary["witness_pass_fraction"]["n=5000 np=100.0"]
     # the per-record lower <= upper invariant is also enforced
     assert all(r["q_swap"] <= r["upper_witness"] + 1e-8 for r in result.records)
     assert elapsed < 1200.0

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from modgraph.cli import main
+from modgraph.cli import build_parser, main
 from modgraph.graph import read_edgelist
+from modgraph.oracle import ORACLE_CAP
 
 
 @pytest.fixture
@@ -16,6 +17,9 @@ def p4_file(tmp_path):
 
 
 class TestOracleCommand:
+    def test_cap_defaults_to_oracle_cap(self):
+        assert build_parser().parse_args(["oracle", "g.txt"]).cap == ORACLE_CAP
+
     def test_q_star_printed(self, p4_file, capsys):
         assert main(["oracle", p4_file]) == 0
         out = capsys.readouterr().out

@@ -158,6 +158,7 @@ class TestGrowthRate:
         res = run_experiment(c)
         assert "upper_witness" in res.columns
         assert res.passed, res.checks
+        assert list(res.summary["witness_pass_fraction"]) == ["n=800 np=32.0"]
         for rec in res.records:
             assert rec["q_swap"] <= rec["upper_witness"] + 1e-8
 
@@ -224,6 +225,8 @@ class TestThresholdWindow:
         assert not check.passed
         assert "n=50 eps=0.2: 0.1 " in check.detail
         assert "n=100000 eps=0.2: 1.0 " in check.detail
+        assert res.summary["in_window_fraction"] == {"n=50 eps=0.2": 0.1,
+                                                     "n=100000 eps=0.2": 1.0}
 
     def test_eps_tiny_bounds_near_one(self):
         # the sandwich width shrinks like 16 eps^2, so at eps = 1e-3 both

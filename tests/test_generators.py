@@ -9,7 +9,8 @@ import pytest
 from scipy import stats
 
 from modgraph.generators import (GeneratorSpec, LabeledGraph, Model,
-                                 MTooLargeError, RateOutOfRangeError, gen_gnm,
+                                 MTooLargeError, RateOutOfRangeError,
+                                 _pairs_from_index, _row_starts, gen_gnm,
                                  gen_gnp, gen_planted, sample, substream)
 from modgraph.graph import Graph
 
@@ -84,6 +85,39 @@ class TestDeterminism:
         assert lg.graph.edge_list() == [
             (0, 1), (0, 4), (2, 5), (2, 6), (2, 7), (3, 7), (4, 9), (5, 6),
             (5, 7), (5, 8), (6, 7), (8, 9)]
+
+
+def _pairs_by_edge_search(pos, n):
+    """Reference decode: one search over the n row starts per edge."""
+    starts = _row_starts(n)
+    u = np.searchsorted(starts, pos, side="right") - 1
+    v = pos - starts[u] + u + 1
+    return u.astype(np.int32), v.astype(np.int32)
+
+
+class TestPairDecoding:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 45])
+    def test_matches_per_edge_search(self, n):
+        count = n * (n - 1) // 2
+        rng = np.random.default_rng(n)
+        # sizes below 2n search per edge, the others per row
+        for size in sorted({0, 1 if count else 0, count // 3, count}):
+            pos = np.sort(rng.permutation(count)[:size]).astype(np.int64)
+            ref_u, ref_v = _pairs_by_edge_search(pos, n)
+            u, v = _pairs_from_index(pos.copy(), n)
+            assert u.dtype == ref_u.dtype and v.dtype == ref_v.dtype
+            assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_positions(self, n):
+        u, v = _pairs_from_index(np.empty(0, dtype=np.int64), n)
+        assert u.size == v.size == 0
+        assert u.dtype == v.dtype == np.int32
+
+    def test_every_pair_in_order(self):
+        n = 9
+        u, v = _pairs_from_index(np.arange(n * (n - 1) // 2, dtype=np.int64), n)
+        assert list(zip(u.tolist(), v.tolist())) == list(itertools.combinations(range(n), 2))
 
 
 class TestGnp:

@@ -2,6 +2,7 @@
 and the two text formats."""
 
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -72,10 +73,70 @@ class TestGraphConstruction:
         assert sorted(g.neighbors(0).tolist()) == [1]
 
 
+def _from_labels_by_sorting(labels):
+    """Reference relabel by three sorts (first index, inverse, part count):
+    (assign, k) as Partition.from_labels must give them."""
+    arr = np.asarray(labels)
+    _, first = np.unique(arr, return_index=True)
+    order = np.argsort(first, kind="stable")
+    remap = np.empty(order.size, dtype=np.int64)
+    remap[order] = np.arange(order.size)
+    _, inverse = np.unique(arr, return_inverse=True)
+    assign = remap[inverse]
+    return assign.astype(np.int32), int(np.unique(assign).size)
+
+
+_LABEL_LISTS = st.one_of(
+    st.lists(st.integers(0, 12), min_size=1, max_size=12),
+    st.lists(st.integers(-6, 20), min_size=1, max_size=12),
+    st.lists(st.integers(10**12 - 2, 10**12 + 2), min_size=1, max_size=12),
+    st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=6),
+    st.lists(st.sampled_from([0.0, -1.5, 0.5, 2.0, 1e12]), min_size=1, max_size=12),
+    st.lists(st.booleans(), min_size=1, max_size=12),
+    st.lists(st.sampled_from(["a", "b", "zz", ""]), min_size=1, max_size=12),
+)
+
+
 class TestPartition:
     def test_contiguous_required(self):
         with pytest.raises(InvalidPartitionError):
             Partition([0, 2, 2])
+
+    @pytest.mark.parametrize("assign, k, message", [
+        ([0, -1, 1], None, "negative part id"),
+        ([1, 0, 3, 3], None, "contiguous"),
+        ([0, 1, 1], 3, "declared k=3 but assignment uses 2 parts"),
+        ([0, 10**12], None, "contiguous"),
+    ])
+    def test_constructor_errors(self, assign, k, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidPartitionError, match=message):
+                Partition(assign, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an id of 10**12 is rejected before any per-id counter exists
+        assert peak < 1 << 20
+
+    @given(_LABEL_LISTS)
+    def test_from_labels_matches_sorting_reference(self, labels):
+        assign, k = _from_labels_by_sorting(labels)
+        p = Partition.from_labels(labels)
+        assert p.assign.dtype == assign.dtype
+        assert p.assign.tobytes() == assign.tobytes()
+        assert p.k == k
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_from_labels_integer_dtypes(self, dtype):
+        labels = make_rng(3, 0).integers(0, 9, size=40).astype(dtype)
+        assign, k = _from_labels_by_sorting(labels)
+        p = Partition.from_labels(labels)
+        assert p.assign.tobytes() == assign.tobytes() and p.k == k
+
+    def test_from_labels_rejects_empty(self):
+        with pytest.raises(InvalidPartitionError, match="non-empty vector"):
+            Partition.from_labels([])
 
     def test_from_labels_smallest_vertex_order(self):
         p = Partition.from_labels([7, 3, 7, 1])

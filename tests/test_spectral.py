@@ -261,3 +261,10 @@ class TestUpperWitness:
         we = spectral_upper_witness(g, 30 / 400, method="extremal", tol=1e-6)
         assert we.value == pytest.approx(wd.value, abs=1e-5)
         assert we.removed_edges == wd.removed_edges
+
+    def test_dense_respects_cap(self):
+        # the kept component has far more than 50 vertices: the dense route
+        # refuses it before building a matrix instead of lifting the cap
+        g = gen_gnp(400, 30 / 400, substream(909))
+        with pytest.raises(TooLargeError, match="exceeds dense cap 50"):
+            spectral_upper_witness(g, 30 / 400, method="dense", cap=50)
