@@ -34,7 +34,8 @@ def _add_experiment_parsers(sub) -> None:
         par.add_argument("--config", required=True, help="ExperimentConfig JSON file")
         par.add_argument("--out", default=None, help="CSV output path (overrides config)")
         par.add_argument("--threads", type=int, default=1,
-                         help="worker processes (results identical for any count)")
+                         help="worker processes, at most one per task and per CPU "
+                              "(results identical for any count)")
         par.add_argument("--seed", type=int, default=None,
                          help="override the config's base_seed")
         par.set_defaults(func=_cmd_experiment, experiment=name)
@@ -48,7 +49,7 @@ def _cmd_experiment(args) -> int:
         return 2
     if args.seed is not None:
         cfg.base_seed = args.seed
-    result = run_experiment(cfg, threads=max(1, args.threads))
+    result = run_experiment(cfg, threads=args.threads)
     out_path = args.out or cfg.output
     if out_path:
         result.write_csv(out_path)

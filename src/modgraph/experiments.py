@@ -20,13 +20,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -186,14 +187,34 @@ def _point_task(args) -> dict:
     return rec
 
 
+def _worker_count(threads: int, tasks: int, cpus: Optional[int]) -> int:
+    """Worker processes worth starting: no more than asked for, than there
+    are tasks or than there are CPUs, and at least one."""
+    return max(1, min(threads, tasks, cpus or 1))
+
+
+def _collect(tasks: list[tuple], results: Iterator[dict]) -> list[dict]:
+    """The records in task order; a failed task re-raises keyed by its
+    experiment, grid point and replicate, chained to the cause."""
+    records = []
+    for name, _, _, _, point, replicate in tasks:
+        try:
+            records.append(next(results))
+        except Exception as exc:
+            raise RuntimeError(f"{name} task failed at {_where(point)}, "
+                               f"replicate {replicate}: {exc}") from exc
+    return records
+
+
 def _run_tasks(cfg: ExperimentConfig, threads: int) -> list[dict]:
     tasks = [(cfg.experiment, cfg.options, cfg.base_seed, pi, point, rep)
              for pi, point in enumerate(cfg.points())
              for rep in range(cfg.replicates)]
-    if threads <= 1:
-        return [_point_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_point_task, tasks, chunksize=1))
+    workers = _worker_count(threads, len(tasks), os.cpu_count())
+    if workers == 1:
+        return _collect(tasks, map(_point_task, tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _collect(tasks, pool.map(_point_task, tasks, chunksize=1))
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

@@ -8,7 +8,12 @@ shared.
 
 G(n,p) uses geometric gap-skipping over the linear pair index instead of
 n(n-1)/2 Bernoulli draws, so runtime is O(n + output edges) and n = 1e6
-sweeps at p = c/n are cheap.
+sweeps at p = c/n are cheap.  Positions are sampled and decoded to int32
+(u, v) pairs in cache-sized blocks (graph._BLOCK), so no edge-length int64
+or float64 array exists.  The blocks split each request for exponentials
+without changing it: a request is drawn in full and its size depends only
+on the trials left and p, so every stream and the generator state after
+each call are the same as with one whole-request draw.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _BLOCK, Graph
 
 __all__ = [
     "Model",
@@ -141,37 +146,50 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
-def _bernoulli_positions(rng: np.random.Generator, count: int, p: float) -> np.ndarray:
-    """Sorted positions of successes in `count` Bernoulli(p) trials.
+def _request_size(remaining: int, p: float) -> int:
+    """Exponentials drawn per request: the expected successes among the
+    `remaining` trials, plus 2 % and 64 spare, and at least 1024."""
+    return max(1024, int(remaining * p * 1.02) + 64)
+
+
+def _bernoulli_positions(rng: np.random.Generator, count: int,
+                         p: float) -> Iterator[np.ndarray]:
+    """Sorted positions of successes in `count` Bernoulli(p) trials, yielded
+    in int64 blocks of at most _BLOCK positions.
 
     Gaps between successes are iid Geometric(p), sampled by exact inversion
-    of unit exponentials (floor(E / -log1p(-p)) + 1) in vectorized chunks;
-    distributionally identical to `count` independent coin flips.
+    of unit exponentials (floor(E / -log1p(-p)) + 1); distributionally
+    identical to `count` independent coin flips.  Each request of
+    _request_size exponentials is drawn in full, block by block, and the
+    overshoot past `count` is discarded, so the stream and the final `rng`
+    state do not depend on the block size.  Exhaust the iterator before
+    drawing from `rng` again.
     """
     if count <= 0 or p <= 0.0:
-        return np.empty(0, dtype=np.int64)
+        return
     if p >= 1.0:
-        return np.arange(count, dtype=np.int64)
+        for lo in range(0, count, _BLOCK):
+            yield np.arange(lo, min(lo + _BLOCK, count), dtype=np.int64)
+        return
     lam = -math.log1p(-p)
-    chunks = []
+    # requests shrink with the trials left, so the first one bounds them all
+    buf = np.empty(min(_BLOCK, _request_size(count, p)))
     last = -1
-    while True:
-        remaining = count - 1 - last
-        size = max(1024, int(remaining * p * 1.02) + 64)
-        buf = rng.standard_exponential(size)
-        buf /= lam
-        np.floor(buf, out=buf)
-        gaps = buf.astype(np.int64)
-        del buf
-        gaps += 1
-        np.cumsum(gaps, out=gaps)
-        gaps += last
-        if gaps[-1] >= count:
-            chunks.append(gaps[gaps < count])
-            break
-        chunks.append(gaps)
-        last = int(gaps[-1])
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    while last < count:
+        size = _request_size(count - 1 - last, p)
+        for lo in range(0, size, _BLOCK):
+            piece = buf[:min(_BLOCK, size - lo)]
+            rng.standard_exponential(out=piece)
+            if last >= count:
+                continue  # past the end: drawn only to finish the request
+            piece /= lam
+            np.floor(piece, out=piece)
+            gaps = piece.astype(np.int64)
+            gaps += 1
+            gaps[0] += last
+            np.cumsum(gaps, out=gaps)
+            last = int(gaps[-1])
+            yield gaps[:np.searchsorted(gaps, count)] if last >= count else gaps
 
 
 def _row_starts(n: int) -> np.ndarray:
@@ -182,28 +200,32 @@ def _row_starts(n: int) -> np.ndarray:
     return starts
 
 
-def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map sorted linear pair indices to (u, v); consumes `pos` as the v
-    buffer.  v = pos - (starts[u] - u - 1), where the row u of each index is
-    found by searching from the smaller side: below 2n indices (about where
-    the two costs cross), each index among the n row starts; otherwise each
-    row start among the indices, expanding per-row counts with np.repeat."""
+def _pairs_from_index(pos: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map a sorted block of linear pair indices to (u, v), given the
+    n = starts.size row starts (_row_starts(n)).
+
+    v = pos - (starts[u] - u - 1).  Only the rows r0..r1 that the block
+    spans are searched, from the smaller side: below 2 indices per row
+    (about where the two costs cross), each index among those row starts;
+    otherwise each row start among the indices, expanding per-row counts
+    with np.repeat."""
+    n = starts.size
     dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    starts = _row_starts(n)
-    if pos.size < 2 * n:
-        u = np.searchsorted(starts, pos, side="right")
-        u -= 1
+    if pos.size == 0:
+        return np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
+    r0, r1 = np.searchsorted(starts, pos[[0, -1]], side="right") - 1
+    span = starts[r0:r1 + 1]
+    if pos.size < 2 * span.size:
+        u = np.searchsorted(span, pos, side="right")
+        u += r0 - 1
         shift = starts[u]
         shift -= u
         shift -= 1
     else:
-        counts = np.diff(np.searchsorted(pos, starts), append=pos.size)
-        u = np.repeat(np.arange(n, dtype=dtype), counts)
-        starts -= np.arange(1, n + 1)
-        shift = np.repeat(starts, counts)
-    v = pos
-    v -= shift
-    del shift
+        counts = np.diff(np.searchsorted(pos, span), append=pos.size)
+        u = np.repeat(np.arange(r0, r1 + 1, dtype=dtype), counts)
+        shift = np.repeat(span - np.arange(r0 + 1, r1 + 2), counts)
+    v = pos - shift
     return u.astype(dtype, copy=False), v.astype(dtype)
 
 
@@ -216,10 +238,20 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
         raise ValueError("p must lie in [0, 1]")
     rng = _rng(seed)
     count = n * (n - 1) // 2
-    pos = _bernoulli_positions(rng, count, p)
-    u, v = _pairs_from_index(pos, n)
-    del pos
-    return Graph.from_arrays(n, u, v, presorted=True, _trusted=True)
+    starts = _row_starts(n)
+    # room for the first request's positions: the untouched tail is never
+    # written, so its pages stay unmapped; a second request grows the arrays
+    cap = count if p >= 1.0 else _request_size(count, p)
+    u = np.empty(cap, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    v = np.empty_like(u)
+    m = 0
+    for pos in _bernoulli_positions(rng, count, p):
+        if m + pos.size > u.size:
+            u, v = (np.concatenate((a[:m], np.empty_like(a))) for a in (u, v))
+        u[m:m + pos.size], v[m:m + pos.size] = _pairs_from_index(pos, starts)
+        m += pos.size
+    del starts  # n int64 row starts: free them before Graph adds its O(n) degrees
+    return Graph.from_arrays(n, u[:m], v[:m], presorted=True, _trusted=True)
 
 
 def gen_gnm(n: int, m: int, seed) -> Graph:
@@ -240,7 +272,7 @@ def gen_gnm(n: int, m: int, seed) -> Graph:
             chosen.add(t)
     pos = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
     pos.sort()
-    u, v = _pairs_from_index(pos, n)
+    u, v = _pairs_from_index(pos, _row_starts(n))
     return Graph.from_arrays(n, u, v, presorted=True, _trusted=True)
 
 
@@ -265,17 +297,16 @@ def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph
         verts_i = blocks[i]
         s_i = verts_i.size
         # within-block pairs
-        pos = _bernoulli_positions(rng, s_i * (s_i - 1) // 2, p_in)
-        if pos.size:
-            lu, lv = _pairs_from_index(pos, s_i)
+        starts = _row_starts(s_i)
+        for pos in _bernoulli_positions(rng, s_i * (s_i - 1) // 2, p_in):
+            lu, lv = _pairs_from_index(pos, starts)
             eu_chunks.append(verts_i[lu])
             ev_chunks.append(verts_i[lv])
         # cross-block pairs against every later block
         for j in range(i + 1, k):
             verts_j = blocks[j]
             s_j = verts_j.size
-            pos = _bernoulli_positions(rng, s_i * s_j, p_out)
-            if pos.size:
+            for pos in _bernoulli_positions(rng, s_i * s_j, p_out):
                 a, b = np.divmod(pos, s_j)
                 gu = verts_i[a]
                 gv = verts_j[b]

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EmptyGraphError, Graph, Partition
+from .graph import _blocks, _take, EmptyGraphError, Graph, Partition
 
 __all__ = [
     "SwapTrace",
     "TooSmallError",
     "KTooSmallError",
     "odd_even_bisection",
-    "swap_zones",
     "swap_bisection",
     "planted_partition",
     "f_k",
@@ -64,16 +63,6 @@ def odd_even_bisection(n: int) -> Partition:
     return Partition(np.arange(n, dtype=np.int64) % 2)
 
 
-def swap_zones(n: int) -> tuple[int, np.ndarray]:
-    """(k, zone) with k = floor(n/6); zone[v] is 0 on the first 4k vertices,
-    1 on the next 2k, 2 on the at most 5 leftover vertices."""
-    k = n // 6
-    zone = np.full(n, 2, dtype=np.int8)
-    zone[:4 * k] = 0
-    zone[4 * k:6 * k] = 1
-    return k, zone
-
-
 def swap_bisection(g: Graph) -> tuple[Partition, SwapTrace]:
     """Improve the odd/even bisection by swapping pairs between the sides.
 
@@ -92,29 +81,35 @@ def swap_bisection(g: Graph) -> tuple[Partition, SwapTrace]:
         raise TooSmallError("swap bisection needs n >= 6")
     if g.m == 0:
         raise EmptyGraphError("swap bisection needs at least one edge")
-    k, zone = swap_zones(n)
-    side = (np.arange(n, dtype=np.int64) % 2).astype(np.int8)
-
+    k = n // 6
     u, v = g.edge_u, g.edge_v
-    zu, zv = zone[u], zone[v]
-    m01 = (zu == 0) & (zv == 1)
-    m10 = (zv == 0) & (zu == 1)
-    pool = np.concatenate([u[m01], v[m10]])
-    probe_side = side[np.concatenate([v[m01], u[m10]])]
-    # per-pool-vertex counts of probe neighbours on each side
-    cnt = [np.bincount(pool[probe_side == s], minlength=4 * k) for s in (0, 1)]
-    a = np.arange(0, 4 * k, 2)
-    b = a + 1
-    t_values = (cnt[1][a] - cnt[0][a]) + (cnt[0][b] - cnt[1][b])
+    # Zones rise with the vertex index and every edge has u < v, so the
+    # pool-to-probe edges are those of the prefix u < 4k with 4k <= v < 6k,
+    # and no edge runs from the probe set back into the pool.  The probe
+    # side is v's parity; key 2u + side counts both sides in one bincount.
+    lo, hi = v.dtype.type(4 * k), v.dtype.type(6 * k)  # same dtype: no int64 copy
+    cnt = np.zeros(8 * k, dtype=np.int64)
+    for blk in _blocks(int(np.searchsorted(u, lo))):
+        ub, vb = u[blk], v[blk]
+        probe = (vb >= lo) & (vb < hi)
+        key = ub[probe].astype(np.intp)
+        key *= 2
+        key += vb[probe] & 1
+        cnt += np.bincount(key, minlength=8 * k)
+    # cnt[i, j, s]: neighbours on probe side s of member j of pair i+1
+    cnt = cnt.reshape(2 * k, 2, 2)
+    t_values = (cnt[:, 0, 1] - cnt[:, 0, 0]) + (cnt[:, 1, 0] - cnt[:, 1, 1])
     swaps = t_values > 0
 
-    new_side = side.copy()
-    new_side[a[swaps]] = 1
-    new_side[b[swaps]] = 0
-    final_cut = int(np.count_nonzero(new_side[u] != new_side[v]))
+    side = (np.arange(n) % 2).astype(np.int8)
+    a = np.arange(0, 4 * k, 2)
+    side[a[swaps]] = 1
+    side[a[swaps] + 1] = 0
+    final_cut = sum(int(np.count_nonzero(_take(side, u[blk]) != _take(side, v[blk])))
+                    for blk in _blocks(g.m))
     trace = SwapTrace(k=k, swaps=swaps, t_values=t_values,
                       t_star=int(np.abs(t_values).sum()), final_cut=final_cut)
-    return Partition.from_labels(new_side), trace
+    return Partition.from_labels(side), trace
 
 
 def planted_partition(lg, balance: bool = False) -> Partition:

@@ -10,8 +10,9 @@ import os
 import pytest
 
 from modgraph.experiments import (EXPERIMENTS, EpsOutOfRangeError,
-                                  ExperimentConfig, run_experiment,
-                                  wilson_upper)
+                                  ExperimentConfig, _worker_count,
+                                  run_experiment, wilson_upper)
+from modgraph.heuristics import TooSmallError
 
 
 def cfg(**over):
@@ -116,6 +117,24 @@ class TestDeterminism:
         first = self._csv(c)
         assert first == self._csv(c)
         assert first == self._csv(c, threads=2)
+
+    @pytest.mark.parametrize("threads, tasks, cpus, workers", [
+        (1, 10, 8, 1), (4, 10, 8, 4), (16, 10, 8, 8), (16, 3, 8, 3),
+        (2, 1000, 2, 2), (4, 10, None, 1), (0, 10, 8, 1), (-3, 10, 8, 1),
+        (4, 0, 8, 1)])
+    def test_worker_count(self, threads, tasks, cpus, workers):
+        assert _worker_count(threads, tasks, cpus) == workers
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_task_names_its_key(self, threads):
+        # Swap needs n >= 6, so every task at n = 5 fails; the first is named
+        c = cfg(experiment="growth-rate", grid={"n": [30, 5], "np": [2.0]},
+                replicates=2, base_seed=3)
+        message = (r"^growth-rate task failed at n=5 np=2\.0, replicate 0: "
+                   r"swap bisection needs n >= 6$")
+        with pytest.raises(RuntimeError, match=message) as info:
+            run_experiment(c, threads=threads)
+        assert isinstance(info.value.__cause__, TooSmallError)
 
     def test_walltime_not_in_csv(self):
         c = cfg()

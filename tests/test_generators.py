@@ -3,6 +3,7 @@ statistics against binomial oracles, and spec validation."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from scipy import stats
 
 from modgraph.generators import (GeneratorSpec, LabeledGraph, Model,
                                  MTooLargeError, RateOutOfRangeError,
-                                 _pairs_from_index, _row_starts, gen_gnm,
-                                 gen_gnp, gen_planted, sample, substream)
-from modgraph.graph import Graph
+                                 _bernoulli_positions, _pairs_from_index,
+                                 _row_starts, gen_gnm, gen_gnp, gen_planted,
+                                 sample, substream)
+from modgraph.graph import _BLOCK, Graph, modularity_score
+from modgraph.heuristics import swap_bisection
 
 
 class TestGeneratorSpec:
@@ -99,25 +102,168 @@ class TestPairDecoding:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 45])
     def test_matches_per_edge_search(self, n):
         count = n * (n - 1) // 2
+        starts = _row_starts(n)
         rng = np.random.default_rng(n)
-        # sizes below 2n search per edge, the others per row
+        # sizes below 2 per spanned row search per edge, the others per row;
+        # any sorted block decodes on its own, so pieces of 1 to 10 too
         for size in sorted({0, 1 if count else 0, count // 3, count}):
             pos = np.sort(rng.permutation(count)[:size]).astype(np.int64)
             ref_u, ref_v = _pairs_by_edge_search(pos, n)
-            u, v = _pairs_from_index(pos.copy(), n)
+            u, v = _pairs_from_index(pos, starts)
             assert u.dtype == ref_u.dtype and v.dtype == ref_v.dtype
             assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+            for piece in (1, 3, 10):
+                parts = [_pairs_from_index(pos[lo:lo + piece], starts)
+                         for lo in range(0, size, piece)]
+                pu, pv = zip(*parts) if parts else ((ref_u,), (ref_v,))
+                assert np.array_equal(np.concatenate(pu), ref_u)
+                assert np.array_equal(np.concatenate(pv), ref_v)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_positions(self, n):
-        u, v = _pairs_from_index(np.empty(0, dtype=np.int64), n)
+        u, v = _pairs_from_index(np.empty(0, dtype=np.int64), _row_starts(n))
         assert u.size == v.size == 0
         assert u.dtype == v.dtype == np.int32
 
     def test_every_pair_in_order(self):
         n = 9
-        u, v = _pairs_from_index(np.arange(n * (n - 1) // 2, dtype=np.int64), n)
+        pos = np.arange(n * (n - 1) // 2, dtype=np.int64)
+        u, v = _pairs_from_index(pos, _row_starts(n))
         assert list(zip(u.tolist(), v.tolist())) == list(itertools.combinations(range(n), 2))
+
+
+def _positions_reference(rng, count, p, requests=None):
+    """Reference sampler: the whole-array form the blocked sampler replaced,
+    kept verbatim apart from recording each request's size in `requests`."""
+    if count <= 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(count, dtype=np.int64)
+    lam = -math.log1p(-p)
+    chunks = []
+    last = -1
+    while True:
+        remaining = count - 1 - last
+        size = max(1024, int(remaining * p * 1.02) + 64)
+        if requests is not None:
+            requests.append(size)
+        buf = rng.standard_exponential(size)
+        buf /= lam
+        np.floor(buf, out=buf)
+        gaps = buf.astype(np.int64)
+        del buf
+        gaps += 1
+        np.cumsum(gaps, out=gaps)
+        gaps += last
+        if gaps[-1] >= count:
+            chunks.append(gaps[gaps < count])
+            break
+        chunks.append(gaps)
+        last = int(gaps[-1])
+    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+
+
+def _gnp_reference(n, p, rng):
+    u, v = _pairs_by_edge_search(_positions_reference(rng, n * (n - 1) // 2, p), n)
+    return Graph.from_arrays(n, u, v, presorted=True)
+
+
+def _two_request_seed(count, p):
+    """A seed whose reference draw needs a second request (about 1 in 100
+    seeds at count * p = 3000)."""
+    for seed in range(2000):
+        requests = []
+        _positions_reference(substream(seed), count, p, requests)
+        if len(requests) > 1:
+            return seed
+    raise AssertionError("no seed needs a second request")
+
+
+class TestBlockedSampler:
+    @pytest.mark.parametrize("count, p", [
+        (10**6, 0.0), (10**8, 1e-7), (10**7, 0.01), (3 * 10**6, 0.5),
+        (8 * 10**6, 0.5), (5 * _BLOCK + 17, 1.0), (0, 0.5), (1, 0.5),
+        (2000, 0.5)])
+    def test_matches_reference_and_state(self, count, p):
+        # (10**7, 0.01) spans 2 blocks, (3e6, 0.5) and p = 1 many; at
+        # (8e6, 0.5) the request's 2 % overshoot (80 k draws) outruns the
+        # block holding the last position, so whole blocks are drawn past it
+        ref_rng, rng = substream(41, count), substream(41, count)
+        ref = _positions_reference(ref_rng, count, p)
+        blocks = list(_bernoulli_positions(rng, count, p))
+        assert all(b.dtype == np.int64 and b.size <= _BLOCK for b in blocks)
+        got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+        assert np.array_equal(got, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_second_request(self):
+        count, p = 300_000, 0.01
+        seed = _two_request_seed(count, p)
+        ref_rng, rng = substream(seed), substream(seed)
+        ref = _positions_reference(ref_rng, count, p)
+        got = np.concatenate(list(_bernoulli_positions(rng, count, p)))
+        assert np.array_equal(got, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("npv", [0.5, 50.0])
+    def test_gnp_matches_reference(self, npv):
+        # np = 0.5 decodes on the per-edge side, np = 50 on the per-row side
+        n = 2000
+        for i in range(3):
+            g = gen_gnp(n, npv / n, substream(43, i))
+            ref = _gnp_reference(n, npv / n, substream(43, i))
+            assert g == ref and g.edge_u.dtype == ref.edge_u.dtype
+            assert np.array_equal(g.deg, ref.deg)
+
+    def test_gnp_second_request_grows_arrays(self):
+        n, p = 2000, 0.0015  # count * p = 2998.5
+        count = n * (n - 1) // 2
+        seed = _two_request_seed(count, p)
+        g = gen_gnp(n, p, substream(seed))
+        assert g == _gnp_reference(n, p, substream(seed))
+        assert g.m > max(1024, int(count * p * 1.02) + 64)  # past the first request
+
+
+def _peak_alloc(fn):
+    """(fn(), peak bytes traced while it ran); numpy reports its buffers to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGrowthPathMemory:
+    # m is about 2 M; a full-length temporary of any dtype, even a bool
+    # mask, costs at least 1 byte per edge
+    n = 20_000
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return gen_gnp(self.n, 0.01, substream(47))
+
+    def test_gnp_peak(self, graph):
+        g, peak = _peak_alloc(lambda: gen_gnp(self.n, 0.01, substream(47)))
+        assert g == graph
+        # the two int32 edge arrays, sized to the first request, are 8.2
+        # B/edge; blocks and the O(n) row starts and degrees come on top
+        assert peak <= 10 * g.m + 100 * self.n
+
+    def test_build_no_edge_sized_temporary(self, graph):
+        _, peak = _peak_alloc(lambda: Graph.from_arrays(
+            graph.n, graph.edge_u, graph.edge_v, presorted=True, _trusted=True))
+        assert peak < graph.m
+
+    def test_swap_no_edge_sized_temporary(self, graph):
+        _, peak = _peak_alloc(lambda: swap_bisection(graph))
+        assert peak < graph.m
+
+    def test_score_no_edge_sized_temporary(self, graph):
+        part, _ = swap_bisection(graph)
+        _, peak = _peak_alloc(lambda: modularity_score(graph, part))
+        assert peak < graph.m
 
 
 class TestGnp:

@@ -2,16 +2,21 @@
 identity, planted partitions, and f(k)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modgraph.generators import gen_gnp, gen_planted, substream
 from modgraph.graph import (EmptyGraphError, Graph, Partition,
                             modularity_exact, modularity_score)
 from modgraph.heuristics import (KTooSmallError, TooSmallError, f_k,
                                  odd_even_bisection, planted_partition,
-                                 swap_bisection, swap_zones)
+                                 swap_bisection)
+
+from _samplers import random_graph
 
 
 class TestOddEven:
@@ -28,6 +33,57 @@ class TestOddEven:
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             odd_even_bisection(1)
+
+
+def _swap_zones(n: int) -> tuple[int, np.ndarray]:
+    """(k, zone) with k = floor(n/6); zone[v] is 0 on the first 4k vertices,
+    1 on the next 2k, 2 on the at most 5 leftover vertices."""
+    k = n // 6
+    zone = np.full(n, 2, dtype=np.int8)
+    zone[:4 * k] = 0
+    zone[4 * k:6 * k] = 1
+    return k, zone
+
+
+def _swap_by_zone_gathers(g: Graph):
+    """Reference Swap: the zone-gather form over all edges that the
+    pool-prefix bincount replaced, kept verbatim."""
+    n = g.n
+    k, zone = _swap_zones(n)
+    side = (np.arange(n, dtype=np.int64) % 2).astype(np.int8)
+
+    u, v = g.edge_u, g.edge_v
+    zu, zv = zone[u], zone[v]
+    m01 = (zu == 0) & (zv == 1)
+    m10 = (zv == 0) & (zu == 1)
+    pool = np.concatenate([u[m01], v[m10]])
+    probe_side = side[np.concatenate([v[m01], u[m10]])]
+    cnt = [np.bincount(pool[probe_side == s], minlength=4 * k) for s in (0, 1)]
+    a = np.arange(0, 4 * k, 2)
+    b = a + 1
+    t_values = (cnt[1][a] - cnt[0][a]) + (cnt[0][b] - cnt[1][b])
+    swaps = t_values > 0
+
+    new_side = side.copy()
+    new_side[a[swaps]] = 1
+    new_side[b[swaps]] = 0
+    final_cut = int(np.count_nonzero(new_side[u] != new_side[v]))
+    return (Partition.from_labels(new_side), k, swaps, t_values,
+            int(np.abs(t_values).sum()), final_cut)
+
+
+def _assert_swap_matches_reference(g: Graph) -> None:
+    part, trace = swap_bisection(g)
+    ref_part, k, swaps, t_values, t_star, final_cut = _swap_by_zone_gathers(g)
+    assert part == ref_part and part.assign.dtype == ref_part.assign.dtype
+    assert trace.k == k and trace.t_star == t_star and trace.final_cut == final_cut
+    assert trace.swaps.dtype == swaps.dtype and np.array_equal(trace.swaps, swaps)
+    assert trace.t_values.dtype == t_values.dtype
+    assert np.array_equal(trace.t_values, t_values)
+    # coverage is exactly the share of uncut edges
+    ssq = sum(int(x) ** 2 for x in part.part_volumes(g))
+    assert modularity_exact(g, part) == (Fraction(g.m - final_cut, g.m)
+                                         - Fraction(ssq, 4 * g.m * g.m))
 
 
 def _unswapped_sides(n: int) -> np.ndarray:
@@ -88,7 +144,7 @@ class TestSwapBisection:
             if g.m == 0:
                 continue
             part, trace = swap_bisection(g)
-            k, zone = swap_zones(n)
+            k, zone = _swap_zones(n)
             side0 = _unswapped_sides(n)
             new_side = _swapped_sides(n, trace)
             u, v = g.edge_u, g.edge_v
@@ -102,6 +158,23 @@ class TestSwapBisection:
             assert 2 * cross == pool.size - trace.t_star
             checked += 1
         assert checked == 500
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(6, 80), st.floats(0.02, 0.9), st.integers(0, 2**32 - 1))
+    def test_matches_zone_gather_reference(self, n, p, seed):
+        g = random_graph(np.random.default_rng(seed), n, p)
+        assume(g.m > 0)
+        _assert_swap_matches_reference(g)
+
+    @pytest.mark.parametrize("n", range(6, 12))
+    def test_matches_reference_complete_graph(self, n):
+        # every n mod 6, with edges into each leftover vertex
+        _assert_swap_matches_reference(Graph(n, [(u, v) for u in range(n)
+                                                 for v in range(u + 1, n)]))
+
+    def test_matches_reference_across_blocks(self):
+        g = gen_gnp(3000, 0.05, substream(819))  # m > 3 blocks
+        _assert_swap_matches_reference(g)
 
     def test_swaps_off_reproduces_baseline(self):
         # regression guard: ignoring the swap decisions must give exactly
