@@ -13,11 +13,10 @@ from .generators import (GeneratorSpec, LabeledGraph, Model, MTooLargeError,
                          sample, substream)
 from .heuristics import (KTooSmallError, SwapTrace, TooSmallError, f_k,
                          odd_even_bisection, planted_partition, swap_bisection)
-from .oracle import (COutOfRangeError, DifferentMError, OracleResult,
-                     RobustnessCheck, exact_modularity, exact_modularity_k,
+from .oracle import (COutOfRangeError, OracleResult, RobustnessCheck,
+                     exact_modularity, exact_modularity_k,
                      optimal_connectivity_check, resolution_limit_check,
-                     robustness_delete_check, robustness_general_check,
-                     robustness_rewire_check, solve_dual)
+                     robustness_check, solve_dual)
 from .spectral import (DENSE_CAP, GapEstimate, IsolatedVertexError,
                        NoConvergenceError, PruneResult, SpectralSummary,
                        TooLargeError, UpperWitness, discrepancy_audit,

@@ -157,12 +157,20 @@ class Graph:
                 del key
         u.setflags(write=False)
         v.setflags(write=False)
-        # bincount casts its input to a full int64 copy; blocks bound that
-        # copy, and at 8n edges or more they amortize each call's O(n) counts
-        deg = np.zeros(n, dtype=np.int64)
-        for blk in _blocks(u.size, max(_BLOCK, 8 * n)):
-            deg += np.bincount(u[blk], minlength=n)
-            deg += np.bincount(v[blk], minlength=n)
+        # edge_u is sorted on every path here, so from 2 edges per vertex up
+        # (where the two costs cross, as in the pair decoder) one search per
+        # vertex counts it.  bincount casts its input to a full int64 copy;
+        # blocks bound that copy, and at 8n edges or more they amortize each
+        # call's O(n) counts
+        if u.size >= 2 * n:
+            deg = np.diff(np.searchsorted(u, np.arange(n + 1, dtype=u.dtype)))
+            counted = (v,)
+        else:
+            deg = np.zeros(n, dtype=np.int64)
+            counted = (u, v)
+        for ends in counted:
+            for blk in _blocks(ends.size, max(_BLOCK, 8 * n)):
+                deg += np.bincount(ends[blk], minlength=n)
         deg.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", int(u.size))

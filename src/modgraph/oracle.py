@@ -1,11 +1,28 @@
 """Exact maximum modularity by exhaustive set-partition enumeration, with
-the structure predicates and robustness checks that lean on it.
+the structure predicates and the robustness check that lean on it.
 
 Scores are compared as exact integers: a partition of an m-edge graph
 scores (4m * sum_A e(A) - sum_A vol(A)^2) / (4 m^2), so the numerator
-decides maxima and ties with no rounding.  Partitions are enumerated as
-restricted-growth strings in lexicographic order, which fixes the order
-in which tied maximizers are reported.
+decides maxima and ties with no rounding.  Expanding both sums over
+vertex pairs makes the numerator linear in which pairs share a part:
+
+    4m * sum_A e(A) - sum_A vol(A)^2 = sum_{i<j same part} w_ij - sum_i d_i^2,
+    w_ij = 4m * A_ij - 2 d_i d_j.
+
+Partitions are enumerated as restricted-growth strings in lexicographic
+order, which fixes the order in which tied maximizers are reported.  The
+same-part indicators of all strings of a vertex count and block cap form
+one cached table (strings x vertex pairs), so a scan is one
+matrix-vector product with the pair weights, a max and a flatnonzero.
+Table entries are 0 or 1 and the weights integers whose absolute sum is
+checked to stay below 2^24, so every partial sum of the float32 product
+is an exact integer.
+
+Above _TABLE_ROWS strings the scan walks prefixes in lexicographic order
+instead, extending each until its completions fit one table.  Each block
+of the prefix then acts as one virtual vertex with its own fixed label,
+weighted to a suffix vertex by the sum over its members, so no table
+grows with the Bell number of the vertex count.
 
 Isolated vertices are excluded from the enumeration (shuffling them
 between parts never changes the score) and re-attached as singletons in
@@ -14,6 +31,7 @@ the reported maximizers.  Empty graphs take the q* = 0 convention.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,34 +39,36 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import (EmptyGraphError, Graph, Partition, connected_components)
+from .graph import (EmptyGraphError, Graph, Partition, connected_components,
+                    induced_subgraph)
 from .spectral import TooLargeError
 
 __all__ = [
     "OracleResult",
     "RobustnessCheck",
     "COutOfRangeError",
-    "DifferentMError",
     "exact_modularity",
     "exact_modularity_k",
     "resolution_limit_check",
     "optimal_connectivity_check",
-    "robustness_delete_check",
-    "robustness_rewire_check",
-    "robustness_general_check",
+    "robustness_check",
     "solve_dual",
 ]
 
 ORACLE_CAP = 10
-_WARN_ABOVE = 10  # Bell(10) = 115975; beyond this the scan gets punishing
+# Bell(10) = 115975 partitions still fit one table; from 11 vertices on
+# the scan walks prefixes, and its cost keeps growing with the Bell
+# numbers (12 vertices: Bell(12) = 4213597 partitions, about 0.3 s).
+_WARN_ABOVE = 10
+# Most partitions in one table: 10 vertices (45 pair columns) take one
+# float32 table of 21 MB.
+_TABLE_ROWS = 1 << 17
+# float32 holds every integer of smaller magnitude exactly.
+_F32_EXACT = 1 << 24
 
 
 class COutOfRangeError(ValueError):
     """solve_dual needs c > 1."""
-
-
-class DifferentMError(ValueError):
-    """Rewire comparison needs equal edge counts."""
 
 
 @dataclass(frozen=True)
@@ -72,70 +92,105 @@ class RobustnessCheck:
     ok: bool
 
 
-def _adjacency_masks(g: Graph, vertices: np.ndarray) -> tuple[list[int], list[int]]:
-    """Bitmask adjacency (and degrees) of the induced subgraph on
-    `vertices`, indexed by position."""
-    index = {int(v): i for i, v in enumerate(vertices)}
-    masks = [0] * len(vertices)
-    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
-        iu = index.get(u)
-        iv = index.get(v)
-        if iu is not None and iv is not None:
-            masks[iu] |= 1 << iv
-            masks[iv] |= 1 << iu
-    degs = [int(g.deg[v]) for v in vertices]
-    return masks, degs
+@functools.lru_cache(maxsize=None)
+def _completions(b: int, s: int, cap: int) -> int:
+    """How many ways s more vertices extend a prefix that uses b blocks,
+    with at most cap blocks in all."""
+    if s == 0:
+        return 1
+    opened = _completions(b + 1, s - 1, cap) if b < cap else 0
+    return b * _completions(b, s - 1, cap) + opened
 
 
-def _scan_partitions(masks: list[int], degs: list[int], m: int,
-                     max_parts: int) -> tuple[int, list[tuple[int, ...]], int]:
-    """Exhaustive scan over restricted-growth strings with at most
-    max_parts blocks; returns (best numerator, best assignments in
+@functools.lru_cache(maxsize=None)
+def _pairs(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex pairs i < j of s vertices in the table's column order."""
+    iu, ju = np.triu_indices(s, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+# Cached for the life of the process: no table has more than _TABLE_ROWS
+# rows, and a scan needs few shapes (full scans of 5 to 8 vertices take
+# 0.6 MB of tables in all; a 12-vertex scan needs 7 shapes, 79 MB).
+@functools.lru_cache(maxsize=None)
+def _table(b: int, s: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every completion of a b-block prefix by s vertices with at most cap
+    blocks, in lexicographic order: the suffix labels (int8, one row per
+    completion) and the float32 same-block table.  Its columns are
+    (suffix vertex t, prefix block j) at t * b + j, then the suffix pairs
+    in _pairs(s) order."""
+    labels = np.zeros((1, 0), dtype=np.int8)
+    used = np.array([b])
+    for _ in range(s):
+        choices = np.minimum(used + 1, cap)
+        parent = np.repeat(np.arange(used.size), choices)
+        label = np.arange(parent.size) - np.repeat(np.cumsum(choices) - choices, choices)
+        labels = np.column_stack((labels[parent], label.astype(np.int8)))
+        used = np.maximum(used[parent], label + 1)
+    iu, ju = _pairs(s)
+    rows = labels.shape[0]
+    same = np.empty((rows, s * b + iu.size), dtype=np.float32)
+    same[:, :s * b] = (labels[:, :, None] == np.arange(b)).reshape(rows, s * b)
+    same[:, s * b:] = labels[:, iu] == labels[:, ju]
+    labels.setflags(write=False)
+    same.setflags(write=False)
+    return labels, same
+
+
+def _prefixes(nv: int, cap: int, prefix: tuple[int, ...] = (), b: int = 0):
+    """(prefix, blocks used) in lexicographic order, each extended until
+    its completions fit one table; the empty prefix when all fit."""
+    if _completions(b, nv - len(prefix), cap) <= _TABLE_ROWS:
+        yield prefix, b
+        return
+    for label in range(min(b + 1, cap)):
+        yield from _prefixes(nv, cap, prefix + (label,), max(b, label + 1))
+
+
+def _scan_partitions(g: Graph, active: np.ndarray,
+                     max_parts: int) -> tuple[int, list[np.ndarray], int]:
+    """Exhaustive scan of the partitions of `active` with at most
+    max_parts blocks; returns (best numerator, best label strings in
     lexicographic order, partitions scanned)."""
-    nv = len(masks)
-    four_m = 4 * m
-    best_num = None
-    best: list[tuple[int, ...]] = []
-    scanned = 0
-    assign = [0] * nv
-    block_mask = [0] * (nv + 1)
-    block_vol = [0] * (nv + 1)
-
-    def rec(i: int, nblocks: int, e_in: int, ssq: int) -> None:
-        nonlocal best_num, scanned
-        if i == nv:
-            scanned += 1
-            num = four_m * e_in - ssq
-            if best_num is None or num > best_num:
-                best_num = num
-                best.clear()
-                best.append(tuple(assign))
-            elif num == best_num:
-                best.append(tuple(assign))
-            return
-        adj = masks[i]
-        d = degs[i]
-        for b in range(nblocks):
-            de = (adj & block_mask[b]).bit_count()
-            vol = block_vol[b]
-            assign[i] = b
-            block_mask[b] |= 1 << i
-            block_vol[b] += d
-            rec(i + 1, nblocks, e_in + de, ssq + 2 * vol * d + d * d)
-            block_mask[b] &= ~(1 << i)
-            block_vol[b] -= d
-        if nblocks < max_parts:
-            assign[i] = nblocks
-            block_mask[nblocks] = 1 << i
-            block_vol[nblocks] = d
-            rec(i + 1, nblocks + 1, e_in, ssq + d * d)
-            block_mask[nblocks] = 0
-            block_vol[nblocks] = 0
-
-    if nv == 0:
-        return 0, [()], 1
-    rec(0, 0, 0, 0)
-    return best_num, best, scanned
+    nv = active.size
+    index = np.zeros(g.n, dtype=np.intp)
+    index[active] = np.arange(nv)
+    d = g.deg[active]
+    w = -2 * np.outer(d, d)
+    w[index[g.edge_u], index[g.edge_v]] += 4 * g.m
+    w[index[g.edge_v], index[g.edge_u]] += 4 * g.m
+    np.fill_diagonal(w, 0)
+    if int(np.abs(w).sum()) // 2 >= _F32_EXACT:
+        raise TooLargeError("pair weights exceed the exact float32 range")
+    best_num, best, scanned = -math.inf, [], 0
+    for prefix, b in _prefixes(nv, max_parts):
+        i = len(prefix)
+        s = nv - i
+        labels, same = _table(b, s, min(max_parts, b + s))
+        iu, ju = _pairs(s)
+        weights = w[i + iu, i + ju]
+        fixed = 0
+        if prefix:
+            # block j of the prefix as one vertex: its weight to suffix
+            # vertex t sums w over the members, and the prefix's own
+            # same-block pairs add a constant
+            onehot = np.equal.outer(np.arange(b), prefix).astype(np.int64)
+            fixed = int(((onehot @ w[:i, :i]) * onehot).sum()) // 2
+            weights = np.concatenate(((onehot @ w[:i, i:]).T.ravel(), weights))
+        sums = same @ weights.astype(np.float32)
+        scanned += sums.size
+        top = sums.max()
+        num = int(top) + fixed
+        if num < best_num:
+            continue
+        if num > best_num:
+            best_num, best = num, []
+        rows = labels[np.flatnonzero(sums == top)]
+        head = np.broadcast_to(np.array(prefix, dtype=np.int8), (len(rows), i))
+        best.extend(np.hstack((head, rows)))
+    return best_num - int(d @ d), best, scanned
 
 
 def _oracle_pre(g: Graph, cap: int) -> np.ndarray:
@@ -151,14 +206,11 @@ def _oracle_pre(g: Graph, cap: int) -> np.ndarray:
     return active
 
 
-def _attach_isolated(g: Graph, active: np.ndarray,
-                     assign: tuple[int, ...]) -> Partition:
+def _attach_isolated(g: Graph, active: np.ndarray, assign: np.ndarray) -> Partition:
     labels = np.full(g.n, -1, dtype=np.int64)
     labels[active] = assign
-    next_id = (max(assign) + 1) if assign else 0
-    for vtx in np.flatnonzero(labels == -1):
-        labels[vtx] = next_id
-        next_id += 1
+    isolated = np.flatnonzero(labels == -1)
+    labels[isolated] = (int(assign.max()) + 1 if assign.size else 0) + np.arange(isolated.size)
     return Partition.from_labels(labels)
 
 
@@ -170,8 +222,7 @@ def exact_modularity(g: Graph, cap: int = ORACLE_CAP) -> OracleResult:
     active = _oracle_pre(g, cap)
     if g.m == 0:
         return OracleResult(Fraction(0), (Partition.singletons(g.n),), 0)
-    masks, degs = _adjacency_masks(g, active)
-    best_num, best, scanned = _scan_partitions(masks, degs, g.m, max_parts=len(masks))
+    best_num, best, scanned = _scan_partitions(g, active, max_parts=active.size)
     parts = tuple(_attach_isolated(g, active, a) for a in best)
     return OracleResult(Fraction(best_num, 4 * g.m * g.m), parts, scanned)
 
@@ -185,8 +236,7 @@ def exact_modularity_k(g: Graph, k: int, cap: int = ORACLE_CAP) -> Fraction:
     active = _oracle_pre(g, cap)
     if g.m == 0:
         return Fraction(0)
-    masks, degs = _adjacency_masks(g, active)
-    best_num, _, _ = _scan_partitions(masks, degs, g.m, max_parts=k)
+    best_num, _, _ = _scan_partitions(g, active, max_parts=k)
     return Fraction(best_num, 4 * g.m * g.m)
 
 
@@ -211,23 +261,6 @@ def resolution_limit_check(g: Graph, cap: int = ORACLE_CAP) -> bool:
     return True
 
 
-def _induced_connected(members_mask: int, masks: list[int]) -> bool:
-    start = members_mask & -members_mask
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= masks[low.bit_length() - 1]
-            f ^= low
-        nxt &= members_mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == members_mask
-
-
 def optimal_connectivity_check(g: Graph, cap: int = ORACLE_CAP) -> bool:
     """True iff in every optimal partition each part induces a connected
     subgraph and has at least two vertices.  Both properties always hold
@@ -239,57 +272,19 @@ def optimal_connectivity_check(g: Graph, cap: int = ORACLE_CAP) -> bool:
     if g.has_isolated_vertices():
         raise ValueError("connectivity structure claims need no isolated vertices")
     result = exact_modularity(g, cap=cap)
-    masks, _ = _adjacency_masks(g, np.arange(g.n))
     for part in result.optimal_partitions:
         for members in part.parts():
             if members.size < 2:
                 return False
-            members_mask = 0
-            for vtx in members.tolist():
-                members_mask |= 1 << vtx
-            if not _induced_connected(members_mask, masks):
+            if connected_components(induced_subgraph(g, members)).k != 1:
                 return False
     return True
 
 
-def _q_star(g: Graph, cap: int) -> Fraction:
-    return exact_modularity(g, cap=cap).q_star
-
-
-def robustness_delete_check(g: Graph, e0, cap: int = ORACLE_CAP) -> RobustnessCheck:
-    """Delete the edges e0 from g and compare |q* - q*'| against the
-    2 |E0| / |E| bound (strict)."""
-    e0 = [(min(u, v), max(u, v)) for u, v in e0]
-    if not e0:
-        raise ValueError("e0 must be non-empty")
-    edge_set = set(g.edge_list())
-    if not set(e0) <= edge_set:
-        raise ValueError("e0 must be a subset of the graph's edges")
-    remaining = sorted(edge_set - set(e0))
-    g2 = Graph(g.n, remaining)
-    delta = abs(_q_star(g, cap) - _q_star(g2, cap))
-    bound = Fraction(2 * len(set(e0)), g.m)
-    return RobustnessCheck(delta, bound, delta < bound)
-
-
-def robustness_rewire_check(g: Graph, g2: Graph, cap: int = ORACLE_CAP) -> RobustnessCheck:
-    """Same vertex set and edge count: |q* - q*'| < |E symm-diff E'| / m."""
-    if g.n != g2.n:
-        raise ValueError("graphs must share the vertex set")
-    if g.m != g2.m:
-        raise DifferentMError(f"edge counts differ: {g.m} vs {g2.m}")
-    if g.m == 0:
-        raise EmptyGraphError("rewire bound needs m >= 1")
-    sym = set(g.edge_list()) ^ set(g2.edge_list())
-    if not sym:
-        raise ValueError("graphs must differ")
-    delta = abs(_q_star(g, cap) - _q_star(g2, cap))
-    bound = Fraction(len(sym), g.m)
-    return RobustnessCheck(delta, bound, delta < bound)
-
-
-def robustness_general_check(g: Graph, g2: Graph, cap: int = ORACLE_CAP) -> RobustnessCheck:
-    """|E| >= |E'|, any overlap: |q* - q*'| < 2 |E \\ E'| / |E|."""
+def robustness_check(g: Graph, g2: Graph, cap: int = ORACLE_CAP) -> RobustnessCheck:
+    """|q*(G) - q*(G')| < 2 |E \\ E'| / |E| (strict) for graphs on one vertex
+    set with |E| >= |E'|.  Deleting edges E0 is the case E' = E \\ E0;
+    rewiring with equal edge counts has |E symm-diff E'| = 2 |E \\ E'|."""
     if g.n != g2.n:
         raise ValueError("graphs must share the vertex set")
     if g.m < g2.m:
@@ -300,7 +295,7 @@ def robustness_general_check(g: Graph, g2: Graph, cap: int = ORACLE_CAP) -> Robu
     e2 = set(g2.edge_list())
     if e1 == e2:
         raise ValueError("graphs must differ")
-    delta = abs(_q_star(g, cap) - _q_star(g2, cap))
+    delta = abs(exact_modularity(g, cap=cap).q_star - exact_modularity(g2, cap=cap).q_star)
     bound = Fraction(2 * len(e1 - e2), g.m)
     return RobustnessCheck(delta, bound, delta < bound)
 

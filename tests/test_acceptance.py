@@ -18,8 +18,7 @@ from modgraph.graph import Graph, modularity_score
 from modgraph.heuristics import f_k
 from modgraph.oracle import (exact_modularity, exact_modularity_k,
                              optimal_connectivity_check, resolution_limit_check,
-                             robustness_delete_check, robustness_general_check,
-                             robustness_rewire_check)
+                             robustness_check)
 from modgraph.spectral import discrepancy_audit, spectral_summary
 
 from _samplers import (make_rng, random_connected_graph, random_graph_sized,
@@ -86,7 +85,7 @@ def test_criterion_03_robustness_suites():
     t0 = time.time()
     # the extremal rewiring pair reproduces delta = 1/2 < 2/3 exactly
     g_path = Graph(6, [(0, 1), (1, 2), (2, 3)])
-    fixture = robustness_rewire_check(matching(3), g_path)
+    fixture = robustness_check(matching(3), g_path)
     assert fixture.delta == Fraction(1, 2) and fixture.bound == Fraction(2, 3)
     assert fixture.ok
 
@@ -98,7 +97,8 @@ def test_criterion_03_robustness_suites():
         # delete: random non-empty subset
         k = int(rng.integers(1, g.m + 1))
         idx = rng.choice(g.m, size=k, replace=False)
-        assert robustness_delete_check(g, [edges[j] for j in idx]).ok
+        deleted = set(edges) - {edges[j] for j in idx}
+        assert robustness_check(g, Graph(g.n, sorted(deleted))).ok
         # rewire: same m, move 1..2 edges into vacant slots
         vacant = [e for e in itertools.combinations(range(g.n), 2)
                   if e not in set(edges)]
@@ -109,7 +109,7 @@ def test_criterion_03_robustness_suites():
             moved = moved[swaps:] + [vacant[j] for j in sel]
             g2 = Graph(g.n, moved)
             if g2 != g:
-                assert robustness_rewire_check(g, g2).ok
+                assert robustness_check(g, g2).ok
         # general: drop a random prefix, maybe add one vacant edge
         keep = edges[int(rng.integers(1, g.m)):]
         if vacant and rng.random() < 0.5 and len(keep) < g.m:
@@ -117,7 +117,7 @@ def test_criterion_03_robustness_suites():
         if len(keep) <= g.m and keep:
             g3 = Graph(g.n, keep)
             if g3 != g:
-                rc = robustness_general_check(g, g3)
+                rc = robustness_check(g, g3)
                 assert rc.ok
                 e_excl = len(set(edges) - set(g3.edge_list()))
                 largest_ratio = max(largest_ratio,

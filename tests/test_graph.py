@@ -17,6 +17,7 @@ from modgraph.graph import (EdgeListFormatError, EmptyGraphError, Graph,
                             modularity_exact, modularity_score, read_edgelist,
                             read_partition, strip_isolated, write_edgelist,
                             write_partition)
+from modgraph.generators import gen_gnm
 
 from _samplers import random_graph_sized, random_partition, make_rng
 
@@ -40,6 +41,21 @@ class TestGraphConstruction:
         for i in range(25):
             g = random_graph_sized(make_rng(1, i), 2, 12, min_edges=0)
             assert int(g.deg.sum()) == 2 * g.m
+
+    def test_degrees_on_both_sides_of_search_rule(self):
+        # from 2 edges per vertex up the sorted edge_u is counted by one
+        # search per vertex, below that by bincount: the degrees agree on
+        # every constructor either side of the rule
+        rng = make_rng(2, 0)
+        for n in (1, 7, 40):
+            top = n * (n - 1) // 2
+            for m in sorted({0, 2 * n - 1, 2 * n, 2 * n + 1, top} & set(range(top + 1))):
+                g = gen_gnm(n, m, rng)
+                want = np.bincount(np.concatenate((g.edge_u, g.edge_v)), minlength=n)
+                shuffled = rng.permutation(np.column_stack((g.edge_v, g.edge_u)))
+                for h in (g, Graph(n, shuffled), induced_subgraph(g, np.arange(n))):
+                    assert h.deg.dtype == np.int64
+                    assert h.deg.tolist() == want.tolist()
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
