@@ -4,15 +4,14 @@ and a reproducible experiment harness."""
 
 from .graph import (EdgeListFormatError, EmptyGraphError, Graph,
                     InvalidPartitionError, ModularityBreakdown, Partition,
-                    connected_components, degree_tax_bounds_check,
-                    induced_subgraph, modularity_exact, modularity_score,
-                    read_edgelist, read_partition, strip_isolated,
-                    write_edgelist, write_partition)
+                    connected_components, induced_subgraph, modularity_exact,
+                    modularity_score, read_edgelist, read_partition,
+                    strip_isolated, write_edgelist, write_partition)
 from .generators import (GeneratorSpec, LabeledGraph, Model, MTooLargeError,
                          RateOutOfRangeError, gen_gnm, gen_gnp, gen_planted,
                          sample, substream)
 from .heuristics import (KTooSmallError, SwapTrace, TooSmallError, f_k,
-                         odd_even_bisection, planted_partition, swap_bisection)
+                         planted_partition, swap_bisection)
 from .oracle import (COutOfRangeError, OracleResult, RobustnessCheck,
                      exact_modularity, exact_modularity_k,
                      optimal_connectivity_check, resolution_limit_check,

@@ -27,12 +27,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .graph import connected_components, modularity_score
-from .generators import gen_gnm, gen_gnp, gen_planted
+from .generators import gen_gnm, gen_gnp, gen_planted, substream
 from .heuristics import f_k, planted_partition, swap_bisection
 from .oracle import ORACLE_CAP, exact_modularity, solve_dual
 from .spectral import TooLargeError, spectral_upper_witness
@@ -178,13 +178,21 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 # task plumbing
 
-def _point_task(args) -> dict:
-    """Top-level so ProcessPoolExecutor can pickle it."""
-    name, options, base_seed, point_index, point, replicate = args
-    t0 = time.perf_counter()
-    rec = EXPERIMENTS[name].task(options, base_seed, point_index, point, replicate)
-    rec["walltime_ms"] = 1000.0 * (time.perf_counter() - t0)
-    return rec
+def _run_batch(tasks: list[tuple]) -> tuple[list[dict], Optional[Exception]]:
+    """Top-level so ProcessPoolExecutor can pickle it.  Runs a contiguous
+    batch of tasks in order and returns their records, each timed on its
+    own, or the records up to the first task that raised and its
+    exception; the failed task is the one after the last record."""
+    records = []
+    for name, options, base_seed, point_index, point, replicate in tasks:
+        t0 = time.perf_counter()
+        try:
+            rec = EXPERIMENTS[name].task(options, base_seed, point_index, point, replicate)
+        except Exception as exc:
+            return records, exc
+        rec["walltime_ms"] = 1000.0 * (time.perf_counter() - t0)
+        records.append(rec)
+    return records, None
 
 
 def _worker_count(threads: int, tasks: int, cpus: Optional[int]) -> int:
@@ -193,28 +201,39 @@ def _worker_count(threads: int, tasks: int, cpus: Optional[int]) -> int:
     return max(1, min(threads, tasks, cpus or 1))
 
 
-def _collect(tasks: list[tuple], results: Iterator[dict]) -> list[dict]:
-    """The records in task order; a failed task re-raises keyed by its
-    experiment, grid point and replicate, chained to the cause."""
+def _collect(tasks: list[tuple],
+             batches: Iterable[tuple[list[dict], Optional[Exception]]]) -> list[dict]:
+    """The records of the batches, which cover the tasks contiguously and
+    in order; a failed task re-raises keyed by its experiment, grid point
+    and replicate, chained to the cause."""
     records = []
-    for name, _, _, _, point, replicate in tasks:
-        try:
-            records.append(next(results))
-        except Exception as exc:
+    for recs, exc in batches:
+        records += recs
+        if exc is not None:
+            name, _, _, _, point, replicate = tasks[len(records)]
             raise RuntimeError(f"{name} task failed at {_where(point)}, "
                                f"replicate {replicate}: {exc}") from exc
     return records
 
 
 def _run_tasks(cfg: ExperimentConfig, threads: int) -> list[dict]:
+    """Every task's record in task order.  A pool gets contiguous batches
+    of tasks // (4 workers), at least one task each, so light tasks share a
+    dispatch; one worker runs all the tasks as one batch in-process."""
     tasks = [(cfg.experiment, cfg.options, cfg.base_seed, pi, point, rep)
              for pi, point in enumerate(cfg.points())
              for rep in range(cfg.replicates)]
     workers = _worker_count(threads, len(tasks), os.cpu_count())
     if workers == 1:
-        return _collect(tasks, map(_point_task, tasks))
+        return _collect(tasks, [_run_batch(tasks)])
+    size = max(1, len(tasks) // (4 * workers))
+    batches = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _collect(tasks, pool.map(_point_task, tasks, chunksize=1))
+        try:
+            return _collect(tasks, pool.map(_run_batch, batches))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # batches not yet queued never run
+            raise
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -227,10 +246,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     summary, checks = exp.summarize(cfg, records)
     columns = [key for key in records[0] if key not in ("_point", "walltime_ms")]
     return ExperimentResult(cfg.experiment, columns, records, summary, checks)
-
-
-def _seed_key(base_seed: int, point_index: int, replicate: int, *extra: int):
-    return np.random.SeedSequence(base_seed, spawn_key=(point_index, replicate) + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +438,7 @@ class GrowthRate(_Experiment):
     def task(self, options, base_seed, point_index, point, replicate):
         n, npv = int(point["n"]), float(point["np"])
         p = npv / n
-        g = gen_gnp(n, p, _seed_key(base_seed, point_index, replicate))
+        g = gen_gnp(n, p, substream(base_seed, point_index, replicate))
         part, trace = swap_bisection(g)
         q = modularity_score(g, part).score
         rec = {"_point": point_index, "n": n, "np": npv, "p": p,
@@ -466,7 +481,7 @@ class SparsePhase(_Experiment):
 
     def task(self, options, base_seed, point_index, point, replicate):
         n = int(point["n"])
-        seed = _seed_key(base_seed, point_index, replicate)
+        seed = substream(base_seed, point_index, replicate)
         if "m" in point:
             g = gen_gnm(n, int(point["m"]), seed)
             head = {"m_target": int(point["m"])}
@@ -525,7 +540,7 @@ class ThresholdWindow(_Experiment):
     def task(self, options, base_seed, point_index, point, replicate):
         n, eps = int(point["n"]), float(point["eps"])
         p = (1.0 + eps) / n
-        g = gen_gnp(n, p, _seed_key(base_seed, point_index, replicate))
+        g = gen_gnp(n, p, substream(base_seed, point_index, replicate))
         comp = connected_components(g)
         q_cc = modularity_score(g, comp).score
         lo, hi = self.bounds(eps)
@@ -593,7 +608,7 @@ class Planted(_Experiment):
                 f"contiguity bound; the planted model is distinguishable from "
                 f"matched-density ER at these rates", RuntimeWarning)
         lg = gen_planted(n, alpha, beta, k,
-                         _seed_key(base_seed, point_index, replicate))
+                         substream(base_seed, point_index, replicate))
         part = planted_partition(lg, balance=True)
         score = modularity_score(lg.graph, part).score
         return {"_point": point_index, "n": n, "c": c, "k": k,
@@ -619,11 +634,11 @@ class SbmDistinguish(_Experiment):
         n = int(point["n"])
         alpha, beta = float(point["alpha"]), float(point["beta"])
         lg = gen_planted(n, alpha, beta, 2,
-                         _seed_key(base_seed, point_index, replicate, 0))
+                         substream(base_seed, point_index, replicate, 0))
         score = modularity_score(lg.graph,
                                  planted_partition(lg, balance=True)).score
         c_bar = 0.5 * (alpha + beta)
-        g = gen_gnp(n, c_bar / n, _seed_key(base_seed, point_index, replicate, 1))
+        g = gen_gnp(n, c_bar / n, substream(base_seed, point_index, replicate, 1))
         witness = spectral_upper_witness(
             g, c_bar / n,
             method=options["solver"],
@@ -677,7 +692,7 @@ class Concentration(_Experiment):
 
     def task(self, options, base_seed, point_index, point, replicate):
         n, m = int(point["n"]), int(point["m"])
-        g = gen_gnm(n, m, _seed_key(base_seed, point_index, replicate))
+        g = gen_gnm(n, m, substream(base_seed, point_index, replicate))
         q = exact_modularity(g, cap=int(options["cap"])).q_star_float
         return {"_point": point_index, "n": n, "m": m,
                 "seed": replicate, "q_star": q}
@@ -709,7 +724,7 @@ class IsolatedEdges(_Experiment):
     def task(self, options, base_seed, point_index, point, replicate):
         n, c = int(point["n"]), float(point["c"])
         p = c / n
-        g = gen_gnp(n, p, _seed_key(base_seed, point_index, replicate))
+        g = gen_gnp(n, p, substream(base_seed, point_index, replicate))
         rec = {"_point": point_index, "n": n, "c": c, "p": p,
                "seed": replicate, "m": g.m, "isolated_edges": 0, "ratio": None,
                "prediction": 0.5 * math.exp(-2.0 * c), "q_cc": None, "floor_ok": None}

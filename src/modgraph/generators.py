@@ -139,11 +139,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    """A Generator is used as given; an integer seeds a fresh stream."""
+    return seed if isinstance(seed, np.random.Generator) else substream(int(seed))
 
 
 def _request_size(remaining: int, p: float) -> int:

@@ -30,7 +30,6 @@ __all__ = [
     "modularity_score",
     "modularity_exact",
     "connected_components",
-    "degree_tax_bounds_check",
     "induced_subgraph",
     "strip_isolated",
     "read_edgelist",
@@ -383,34 +382,6 @@ def connected_components(g: Graph) -> Partition:
                      shape=(g.n, g.n))
     _, labels = _cc(mat, directed=False)
     return Partition.from_labels(labels)
-
-
-def degree_tax_bounds_check(g: Graph, p: Partition) -> bool:
-    """Exact check of the convexity bounds on the degree tax: with x, y the
-    largest and second-largest part volumes,
-
-        1/k <= q_D,  (x/2m)^2 <= q_D <= x/2m,  q_D <= (x/2m)^2 + y/2m.
-
-    True on every valid input; exposed so randomized suites can assert it.
-    """
-    if g.m == 0:
-        raise EmptyGraphError("degree tax undefined for empty graphs")
-    if p.k < 2:
-        raise InvalidPartitionError("bounds need at least two parts")
-    vols = np.sort(p.part_volumes(g))[::-1]
-    x, y = int(vols[0]), int(vols[1])
-    s = _sum_sq(vols)
-    two_m = 2 * g.m
-    # q_D = s / (2m)^2; compare cross-multiplied in exact integers
-    if s * p.k < two_m * two_m:
-        return False
-    if x * x > s:
-        return False
-    if s > x * two_m:
-        return False
-    if s > x * x + y * two_m:
-        return False
-    return True
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:

@@ -1,5 +1,5 @@
-"""Partition-construction heuristics: odd/even bisection, the linear-time
-Swap improvement, and planted-label partitions.
+"""Partition-construction heuristics: the linear-time Swap improvement of
+the odd/even bisection, and planted-label partitions.
 
 Vertex-index convention used throughout: the classical 1-based labels
 1..n map to 0-based indices by subtracting 1.  The odd-label side is the
@@ -20,7 +20,6 @@ __all__ = [
     "SwapTrace",
     "TooSmallError",
     "KTooSmallError",
-    "odd_even_bisection",
     "swap_bisection",
     "planted_partition",
     "f_k",
@@ -53,14 +52,6 @@ class SwapTrace:
     def __post_init__(self):
         self.swaps.setflags(write=False)
         self.t_values.setflags(write=False)
-
-
-def odd_even_bisection(n: int) -> Partition:
-    """Bipartition into odd vs even classical labels (even vs odd 0-based
-    indices).  Part 0 contains vertex 0."""
-    if n < 2:
-        raise TooSmallError("bisection needs n >= 2")
-    return Partition(np.arange(n, dtype=np.int64) % 2)
 
 
 def swap_bisection(g: Graph) -> tuple[Partition, SwapTrace]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -74,11 +74,28 @@ class COutOfRangeError(ValueError):
 @dataclass(frozen=True)
 class OracleResult:
     """Exact maximum score, every maximizer (isolated vertices appended as
-    singletons), and how many partitions the scan visited."""
+    singletons), and how many partitions the scan visited.
+
+    The maximizers are built on first access of optimal_partitions, from
+    the scan's label strings of the non-isolated vertices, so a caller
+    that reads only q_star builds no Partition.  Equality compares the
+    score, the scan count and the maximizers."""
 
     q_star: Fraction
-    optimal_partitions: tuple[Partition, ...]
     partitions_scanned: int
+    _g: Graph = field(repr=False, compare=False)
+    _active: np.ndarray = field(repr=False, compare=False)
+    _rows: list[np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def optimal_partitions(self) -> tuple[Partition, ...]:
+        return tuple(_attach_isolated(self._g, self._active, a) for a in self._rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, OracleResult):
+            return NotImplemented
+        return ((self.q_star, self.partitions_scanned, self.optimal_partitions)
+                == (other.q_star, other.partitions_scanned, other.optimal_partitions))
 
     @property
     def q_star_float(self) -> float:
@@ -188,8 +205,10 @@ def _scan_partitions(g: Graph, active: np.ndarray,
         if num > best_num:
             best_num, best = num, []
         rows = labels[np.flatnonzero(sums == top)]
-        head = np.broadcast_to(np.array(prefix, dtype=np.int8), (len(rows), i))
-        best.extend(np.hstack((head, rows)))
+        if prefix:
+            head = np.broadcast_to(np.array(prefix, dtype=np.int8), (len(rows), i))
+            rows = np.hstack((head, rows))
+        best.extend(rows)
     return best_num - int(d @ d), best, scanned
 
 
@@ -220,11 +239,10 @@ def exact_modularity(g: Graph, cap: int = ORACLE_CAP) -> OracleResult:
     if g.n < 1:
         raise ValueError("graph needs at least one vertex")
     active = _oracle_pre(g, cap)
-    if g.m == 0:
-        return OracleResult(Fraction(0), (Partition.singletons(g.n),), 0)
+    if g.m == 0:  # no active vertex: the one empty string gives singletons
+        return OracleResult(Fraction(0), 0, g, active, [np.zeros(0, dtype=np.int8)])
     best_num, best, scanned = _scan_partitions(g, active, max_parts=active.size)
-    parts = tuple(_attach_isolated(g, active, a) for a in best)
-    return OracleResult(Fraction(best_num, 4 * g.m * g.m), parts, scanned)
+    return OracleResult(Fraction(best_num, 4 * g.m * g.m), scanned, g, active, best)
 
 
 def exact_modularity_k(g: Graph, k: int, cap: int = ORACLE_CAP) -> Fraction:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import substream
 from .graph import EmptyGraphError, Graph, connected_components, induced_subgraph
 
 __all__ = [
@@ -176,7 +177,7 @@ def extremal_gap(g: Graph, tol: float = 1e-6, max_iter: int = 100_000,
         y -= v * (v @ x)
         return y
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(g.n, g.m))))
+    rng = substream(seed, g.n, g.m)
     x = rng.standard_normal(g.n)
     x -= v * (v @ x)
     norm = np.linalg.norm(x)
@@ -248,7 +249,7 @@ def discrepancy_audit(g: Graph, samples: int = 2000, seed: int = 0,
         cut, vol = _subset_stats_exhaustive(g)
         slack = cut - coeff * vol * (2 * g.m - vol)
         return float(slack.min())
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = substream(seed)
     worst = 0.0  # S empty has slack exactly 0
     for _ in range(samples):
         member = rng.random(g.n) < 0.5

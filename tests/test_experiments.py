@@ -5,13 +5,16 @@ import glob
 import hashlib
 import io
 import math
+import multiprocessing
 import os
+import time
 
 import pytest
 
 from modgraph.experiments import (EXPERIMENTS, EpsOutOfRangeError,
-                                  ExperimentConfig, _worker_count,
+                                  ExperimentConfig, _Experiment, _worker_count,
                                   run_experiment, wilson_upper)
+from modgraph.graph import EmptyGraphError
 from modgraph.heuristics import TooSmallError
 
 
@@ -104,6 +107,23 @@ class TestConfig:
                        {"n": 20, "np": 2.0}, {"n": 20, "np": 4.0}]
 
 
+class _Logged(_Experiment):
+    """Appends a line to options["log"] per task run; task 0 raises and the
+    others take 10 ms."""
+
+    name = "logged"
+    grids = (("n",),)
+    option_defaults = {"log": None}
+
+    def task(self, options, base_seed, point_index, point, replicate):
+        if replicate == 0:
+            raise ValueError("first task")
+        time.sleep(0.01)
+        with open(options["log"], "a") as fh:
+            fh.write(f"{replicate}\n")
+        return {"_point": point_index, "seed": replicate}
+
+
 class TestDeterminism:
     def _csv(self, config, threads=1):
         res = run_experiment(config, threads=threads)
@@ -135,6 +155,49 @@ class TestDeterminism:
         with pytest.raises(RuntimeError, match=message) as info:
             run_experiment(c, threads=threads)
         assert isinstance(info.value.__cause__, TooSmallError)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mid_batch_failure_names_its_task(self, threads):
+        # 22 tasks: on 2 workers, batches of 22 // 8 = 2.  An empty
+        # G(6, 1/12) makes Swap raise; at this seed the first one is task
+        # 13 (n=6, replicate 2), the second of its batch, after task 12
+        # succeeded.  On 1 worker it is at offset 13 of the one batch.
+        c = cfg(experiment="growth-rate", grid={"n": [30, 6], "np": [0.5]},
+                replicates=11, base_seed=4)
+        message = (r"^growth-rate task failed at n=6 np=0\.5, replicate 2: "
+                   r"swap bisection needs at least one edge$")
+        with pytest.raises(RuntimeError, match=message) as info:
+            run_experiment(c, threads=threads)
+        assert isinstance(info.value.__cause__, EmptyGraphError)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or os.cpu_count() < 2,
+                        reason="needs 2 workers that inherit the test experiment")
+    def test_failure_cancels_batches_not_started(self, monkeypatch, tmp_path):
+        # 400 tasks in 8 batches of 50 (0.5 s each).  Task 0 fails at once
+        # and ends its batch.  The 2 running batches and the 3 in the pool's
+        # call queue still run (250 tasks); without cancelling, all 7 other
+        # batches would (350).
+        monkeypatch.setitem(EXPERIMENTS, "logged", _Logged())
+        log = tmp_path / "ran.txt"
+        c = cfg(experiment="logged", grid={"n": [1]}, replicates=400,
+                options={"log": str(log)})
+        with pytest.raises(RuntimeError, match=r"^logged task failed at n=1, replicate 0"):
+            run_experiment(c, threads=2)
+        assert len(log.read_text().split()) <= 300
+
+    def test_uneven_batches_identical_across_workers(self):
+        # 1,001 tasks on 2 workers: eight batches of 1001 // 8 = 125 tasks
+        # and a last batch of one
+        c = cfg(experiment="concentration", grid={"n": [8], "m": [10]},
+                replicates=1001, base_seed=41, assertions={"tails_ok": True})
+        one, two = run_experiment(c, threads=1), run_experiment(c, threads=2)
+        assert len(one.records) == 1001
+        csv_one, csv_two = io.StringIO(), io.StringIO()
+        one.write_csv(csv_one)
+        two.write_csv(csv_two)
+        assert csv_one.getvalue() == csv_two.getvalue()
+        assert one.summary == two.summary
+        assert one.checks == two.checks
 
     def test_walltime_not_in_csv(self):
         c = cfg()

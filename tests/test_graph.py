@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from modgraph.graph import (EdgeListFormatError, EmptyGraphError, Graph,
                             InvalidPartitionError, Partition,
-                            connected_components, degree_tax_bounds_check,
-                            induced_subgraph,
+                            connected_components, induced_subgraph,
                             modularity_exact, modularity_score, read_edgelist,
                             read_partition, strip_isolated, write_edgelist,
                             write_partition)
@@ -277,6 +276,25 @@ class TestComponents:
             assert sum(sizes) == g.n
             assert sum(edges) == g.m
             assert sum(vols) == 2 * g.m
+
+
+def degree_tax_bounds_check(g: Graph, p: Partition) -> bool:
+    """Exact check of the convexity bounds on the degree tax: with x, y the
+    largest and second-largest part volumes,
+
+        1/k <= q_D,  (x/2m)^2 <= q_D <= x/2m,  q_D <= (x/2m)^2 + y/2m.
+    """
+    if g.m == 0:
+        raise EmptyGraphError("degree tax undefined for empty graphs")
+    if p.k < 2:
+        raise InvalidPartitionError("bounds need at least two parts")
+    vols = sorted(map(int, p.part_volumes(g)), reverse=True)
+    x, y = vols[0], vols[1]
+    s = sum(v * v for v in vols)
+    two_m = 2 * g.m
+    # q_D = s / (2m)^2; compare cross-multiplied in exact integers
+    return (s * p.k >= two_m * two_m and x * x <= s <= x * two_m
+            and s <= x * x + y * two_m)
 
 
 class TestDegreeTaxBounds:

@@ -13,10 +13,17 @@ from modgraph.generators import gen_gnp, gen_planted, substream
 from modgraph.graph import (EmptyGraphError, Graph, Partition,
                             modularity_exact, modularity_score)
 from modgraph.heuristics import (KTooSmallError, TooSmallError, f_k,
-                                 odd_even_bisection, planted_partition,
-                                 swap_bisection)
+                                 planted_partition, swap_bisection)
 
 from _samplers import random_graph
+
+
+def odd_even_bisection(n: int) -> Partition:
+    """Bipartition into odd vs even classical labels (even vs odd 0-based
+    indices), the partition Swap starts from.  Part 0 contains vertex 0."""
+    if n < 2:
+        raise TooSmallError("bisection needs n >= 2")
+    return Partition(np.arange(n, dtype=np.int64) % 2)
 
 
 class TestOddEven:

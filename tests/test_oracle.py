@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modgraph import oracle
+from modgraph.experiments import EXPERIMENTS
 from modgraph.graph import EmptyGraphError, Graph, Partition, modularity_exact
 from modgraph.oracle import (COutOfRangeError, exact_modularity,
                              exact_modularity_k, optimal_connectivity_check,
@@ -233,6 +234,45 @@ class TestExactModularity:
             r = exact_modularity(g)
             for part in r.optimal_partitions:
                 assert modularity_exact(g, part) == r.q_star
+
+
+@pytest.fixture
+def from_labels_calls(monkeypatch):
+    """Counts Partition.from_labels calls, the one way the oracle builds a
+    maximizer."""
+    calls = []
+    build = Partition.from_labels.__func__
+
+    def counted(cls, labels):
+        calls.append(1)
+        return build(cls, labels)
+    monkeypatch.setattr(Partition, "from_labels", classmethod(counted))
+    return calls
+
+
+class TestLazyMaximizers:
+    def test_q_star_builds_no_partition(self, from_labels_calls):
+        g = Graph(6, [(0, 1), (1, 2), (3, 4)])  # vertex 5 isolated
+        r = exact_modularity(g)
+        assert r.q_star == Fraction(4, 9) and r.partitions_scanned == 52
+        assert from_labels_calls == []
+        parts = r.optimal_partitions
+        assert len(from_labels_calls) == len(parts) >= 1
+        assert r.optimal_partitions is parts
+        assert len(from_labels_calls) == len(parts)
+
+    def test_concentration_task_builds_no_partition(self, from_labels_calls):
+        exp = EXPERIMENTS["concentration"]
+        rec = exp.task(dict(exp.option_defaults), 41, 0, {"n": 8, "m": 10}, 0)
+        assert 0.0 <= rec["q_star"] < 1.0
+        assert from_labels_calls == []
+
+    def test_equality_and_repr(self):
+        g = path(4)
+        r = exact_modularity(g)
+        assert r == exact_modularity(g) and hash(r) == hash(exact_modularity(g))
+        assert r != exact_modularity(Graph(5, [(0, 1), (1, 2), (2, 3)]))
+        assert repr(r) == "OracleResult(q_star=Fraction(1, 6), partitions_scanned=15)"
 
 
 class TestScanMatchesReference:
