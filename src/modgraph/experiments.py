@@ -20,14 +20,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import os
 import time
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -179,16 +181,18 @@ class ExperimentResult:
 # task plumbing
 
 def _run_batch(tasks: list[tuple]) -> tuple[list[dict], Optional[Exception]]:
-    """Top-level so ProcessPoolExecutor can pickle it.  Runs a contiguous
-    batch of tasks in order and returns their records, each timed on its
-    own, or the records up to the first task that raised and its
-    exception; the failed task is the one after the last record."""
+    """Top-level so ProcessPoolExecutor can pickle it.  The batch's
+    records in order, each task timed on its own, or the records before the
+    first task that raised and its exception."""
     records = []
     for name, options, base_seed, point_index, point, replicate in tasks:
         t0 = time.perf_counter()
         try:
             rec = EXPERIMENTS[name].task(options, base_seed, point_index, point, replicate)
         except Exception as exc:
+            if multiprocessing.parent_process() is not None:
+                # a worker's traceback does not pickle; a PEP 678 note does
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
             return records, exc
         rec["walltime_ms"] = 1000.0 * (time.perf_counter() - t0)
         records.append(rec)
@@ -201,39 +205,45 @@ def _worker_count(threads: int, tasks: int, cpus: Optional[int]) -> int:
     return max(1, min(threads, tasks, cpus or 1))
 
 
+def _batches(tasks: list, workers: int) -> Iterator[list]:
+    """Contiguous batches in task order, each a quarter of one worker's
+    share of the tasks left (at least one): light tasks share a dispatch,
+    and a sweep ends on single tasks, not on one worker's long batch."""
+    while tasks:
+        size = max(1, len(tasks) // (4 * workers))
+        yield tasks[:size]
+        tasks = tasks[size:]
+
+
 def _collect(tasks: list[tuple],
              batches: Iterable[tuple[list[dict], Optional[Exception]]]) -> list[dict]:
-    """The records of the batches, which cover the tasks contiguously and
-    in order; a failed task re-raises keyed by its experiment, grid point
-    and replicate, chained to the cause."""
+    """The records of the batches, which cover the tasks in order.  A
+    failed task or pool (a worker killed, a result that does not pickle)
+    re-raises keyed by the first task without a record, chained to the cause."""
     records = []
-    for recs, exc in batches:
-        records += recs
-        if exc is not None:
-            name, _, _, _, point, replicate = tasks[len(records)]
-            raise RuntimeError(f"{name} task failed at {_where(point)}, "
-                               f"replicate {replicate}: {exc}") from exc
+    try:
+        for recs, exc in batches:
+            records += recs
+            if exc is not None:
+                raise exc
+    except Exception as exc:
+        name, _, _, _, point, replicate = tasks[len(records)]
+        raise RuntimeError(f"{name} task failed at {_where(point)}, "
+                           f"replicate {replicate}: {exc}") from exc
     return records
 
 
 def _run_tasks(cfg: ExperimentConfig, threads: int) -> list[dict]:
-    """Every task's record in task order.  A pool gets contiguous batches
-    of tasks // (4 workers), at least one task each, so light tasks share a
-    dispatch; one worker runs all the tasks as one batch in-process."""
+    """Every task's record in task order: a pool gets the tasks in
+    `_batches`, one worker runs them all as one batch in-process."""
     tasks = [(cfg.experiment, cfg.options, cfg.base_seed, pi, point, rep)
              for pi, point in enumerate(cfg.points())
              for rep in range(cfg.replicates)]
     workers = _worker_count(threads, len(tasks), os.cpu_count())
     if workers == 1:
         return _collect(tasks, [_run_batch(tasks)])
-    size = max(1, len(tasks) // (4 * workers))
-    batches = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            return _collect(tasks, pool.map(_run_batch, batches))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # batches not yet queued never run
-            raise
+        return _collect(tasks, pool.map(_run_batch, _batches(tasks, workers)))
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

@@ -74,12 +74,8 @@ class COutOfRangeError(ValueError):
 @dataclass(frozen=True)
 class OracleResult:
     """Exact maximum score, every maximizer (isolated vertices appended as
-    singletons), and how many partitions the scan visited.
-
-    The maximizers are built on first access of optimal_partitions, from
-    the scan's label strings of the non-isolated vertices, so a caller
-    that reads only q_star builds no Partition.  Equality compares the
-    score, the scan count and the maximizers."""
+    singletons; built from the scan's label rows on first access, so a caller
+    that reads only q_star builds no Partition), and the partitions scanned."""
 
     q_star: Fraction
     partitions_scanned: int

@@ -7,13 +7,13 @@ import io
 import math
 import multiprocessing
 import os
-import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from modgraph.experiments import (EXPERIMENTS, EpsOutOfRangeError,
-                                  ExperimentConfig, _Experiment, _worker_count,
-                                  run_experiment, wilson_upper)
+                                  ExperimentConfig, _batches, _Experiment,
+                                  _worker_count, run_experiment, wilson_upper)
 from modgraph.graph import EmptyGraphError
 from modgraph.heuristics import TooSmallError
 
@@ -107,20 +107,17 @@ class TestConfig:
                        {"n": 20, "np": 2.0}, {"n": 20, "np": 4.0}]
 
 
-class _Logged(_Experiment):
-    """Appends a line to options["log"] per task run; task 0 raises and the
-    others take 10 ms."""
+class _Exits(_Experiment):
+    """Task 0 ends its worker process at once, as a killed worker would."""
 
-    name = "logged"
+    name = "exits"
     grids = (("n",),)
-    option_defaults = {"log": None}
 
     def task(self, options, base_seed, point_index, point, replicate):
+        if multiprocessing.parent_process() is None:
+            raise AssertionError("ran in the test process, not a worker")
         if replicate == 0:
-            raise ValueError("first task")
-        time.sleep(0.01)
-        with open(options["log"], "a") as fh:
-            fh.write(f"{replicate}\n")
+            os._exit(1)
         return {"_point": point_index, "seed": replicate}
 
 
@@ -158,36 +155,43 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_mid_batch_failure_names_its_task(self, threads):
-        # 22 tasks: on 2 workers, batches of 22 // 8 = 2.  An empty
-        # G(6, 1/12) makes Swap raise; at this seed the first one is task
-        # 13 (n=6, replicate 2), the second of its batch, after task 12
-        # succeeded.  On 1 worker it is at offset 13 of the one batch.
-        c = cfg(experiment="growth-rate", grid={"n": [30, 6], "np": [0.5]},
-                replicates=11, base_seed=4)
-        message = (r"^growth-rate task failed at n=6 np=0\.5, replicate 2: "
+        # 24 tasks: on 2 workers, batches of 3, 2, 2, 2 tasks, then single
+        # ones.  An empty G(6, 1/12) makes Swap raise; at this seed the
+        # first one is replicate 4, the second of the batch (3, 4), after
+        # replicate 3 succeeded.  On 1 worker it is at offset 4 of the one
+        # batch.
+        c = cfg(experiment="growth-rate", grid={"n": [6], "np": [0.5]},
+                replicates=24, base_seed=20)
+        message = (r"^growth-rate task failed at n=6 np=0\.5, replicate 4: "
                    r"swap bisection needs at least one edge$")
         with pytest.raises(RuntimeError, match=message) as info:
             run_experiment(c, threads=threads)
         assert isinstance(info.value.__cause__, EmptyGraphError)
+        if threads == 2 and os.cpu_count() >= 2:
+            # the worker's traceback travels as a note on the cause
+            assert "in task" in info.value.__cause__.__notes__[-1]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or os.cpu_count() < 2,
                         reason="needs 2 workers that inherit the test experiment")
-    def test_failure_cancels_batches_not_started(self, monkeypatch, tmp_path):
-        # 400 tasks in 8 batches of 50 (0.5 s each).  Task 0 fails at once
-        # and ends its batch.  The 2 running batches and the 3 in the pool's
-        # call queue still run (250 tasks); without cancelling, all 7 other
-        # batches would (350).
-        monkeypatch.setitem(EXPERIMENTS, "logged", _Logged())
-        log = tmp_path / "ran.txt"
-        c = cfg(experiment="logged", grid={"n": [1]}, replicates=400,
-                options={"log": str(log)})
-        with pytest.raises(RuntimeError, match=r"^logged task failed at n=1, replicate 0"):
+    def test_killed_worker_names_a_task(self, monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, "exits", _Exits())
+        c = cfg(experiment="exits", grid={"n": [1]}, replicates=40)
+        with pytest.raises(RuntimeError, match=r"^exits task failed at n=1, replicate 0: ") as info:
             run_experiment(c, threads=2)
-        assert len(log.read_text().split()) <= 300
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+
+    @pytest.mark.parametrize("tasks, workers", [(1, 2), (24, 2), (140, 2), (1001, 2), (1001, 8)])
+    def test_batches_shrink_to_single_tasks(self, tasks, workers):
+        batches = list(_batches(list(range(tasks)), workers))
+        assert [t for batch in batches for t in batch] == list(range(tasks))
+        sizes = [len(batch) for batch in batches]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[-min(tasks, 4 * workers):] == [1] * min(tasks, 4 * workers)
+        assert sizes[0] == max(1, tasks // (4 * workers))
 
     def test_uneven_batches_identical_across_workers(self):
-        # 1,001 tasks on 2 workers: eight batches of 1001 // 8 = 125 tasks
-        # and a last batch of one
+        # 1,001 tasks on 2 workers: batches of 125, 109, 95, ... tasks, and
+        # the last 15 batches hold one task each
         c = cfg(experiment="concentration", grid={"n": [8], "m": [10]},
                 replicates=1001, base_seed=41, assertions={"tails_ok": True})
         one, two = run_experiment(c, threads=1), run_experiment(c, threads=2)
