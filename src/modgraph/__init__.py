@@ -17,10 +17,9 @@ from .oracle import (COutOfRangeError, OracleResult, RobustnessCheck,
                      optimal_connectivity_check, resolution_limit_check,
                      robustness_check, solve_dual)
 from .spectral import (DENSE_CAP, GapEstimate, IsolatedVertexError,
-                       NoConvergenceError, PruneResult, SpectralSummary,
-                       TooLargeError, UpperWitness, discrepancy_audit,
-                       extremal_gap, normalized_laplacian, prune,
-                       spectral_gap_extremal, spectral_summary,
+                       PruneResult, SpectralSummary, TooLargeError,
+                       UpperWitness, discrepancy_audit, extremal_gap,
+                       normalized_laplacian, prune, spectral_summary,
                        spectral_upper_witness)
 from .experiments import (EXPERIMENTS, CheckOutcome, EpsOutOfRangeError,
                           ExperimentConfig, ExperimentResult, run_experiment,

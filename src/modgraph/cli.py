@@ -25,7 +25,7 @@ from .generators import GeneratorSpec, Model, sample
 from .graph import (modularity_score, read_edgelist, read_partition,
                     write_edgelist, write_partition)
 from .oracle import ORACLE_CAP, exact_modularity, exact_modularity_k
-from .spectral import DENSE_CAP, spectral_gap_extremal, spectral_summary
+from .spectral import DENSE_CAP, extremal_gap, spectral_summary
 
 
 def _add_experiment_parsers(sub) -> None:
@@ -127,9 +127,11 @@ def _cmd_generate(args) -> int:
 def _cmd_spectral(args) -> int:
     g = read_edgelist(args.graph)
     if args.method == "extremal":
-        gap = spectral_gap_extremal(g, tol=args.tol)
-        print(f"gap = {gap:.12g}  (extremal path, tol {args.tol:g})")
-        return 0
+        est = extremal_gap(g, tol=args.tol)
+        print(f"gap = {est.value:.12g}  (extremal path, tol {args.tol:g}, "
+              f"iterations {est.iterations}, residual {est.residual:.3g}, "
+              f"converged={est.converged})")
+        return 0 if est.converged else 1
     summary = spectral_summary(g, cap=args.cap)
     print(f"gap = {summary.gap:.12g}  (dense path, connected={summary.connected})")
     if args.eigenvalues:

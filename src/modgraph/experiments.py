@@ -56,6 +56,9 @@ class EpsOutOfRangeError(ValueError):
 
 _FLOAT_FMT = "%.12g"
 
+# iteration cap of the upper witness's gap solver in every sweep
+_GAP_MAX_ITER = 200_000
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -421,8 +424,7 @@ class GrowthRate(_Experiment):
 
     name = "growth-rate"
     grids = (("n", "np"),)
-    option_defaults = {"upper_witness": False, "solver": "extremal", "tol": 1e-3,
-                       "max_iter": 200_000}
+    option_defaults = {"upper_witness": False, "solver": "extremal", "tol": 1e-3}
     positive = ("np",)
     summary = {"medians": _rows(("n", "np"), median_q_swap=_median_q_swap),
                "slope": _q_swap_slope}
@@ -460,7 +462,7 @@ class GrowthRate(_Experiment):
                 g, p,
                 method=options["solver"],
                 tol=float(options["tol"]),
-                max_iter=int(options["max_iter"]))
+                max_iter=_GAP_MAX_ITER)
             rec.update({
                 "lambda_pruned": witness.lambda_bar,
                 "removed_edge_frac": witness.removed_fraction,
@@ -635,7 +637,7 @@ class SbmDistinguish(_Experiment):
 
     name = "sbm-distinguish"
     grids = (("n", "alpha", "beta"),)
-    option_defaults = {"solver": "extremal", "tol": 1e-3, "max_iter": 200_000}
+    option_defaults = {"solver": "extremal", "tol": 1e-3}
     summary = {"separation_rate": _rows(("alpha", "beta"), rate=_of(np.mean, "separated"))}
     checks = (share("min_separation_rate", lambda r, cfg: r["separated"],
                     need=lambda cfg: cfg.assertions["min_separation_rate"]),)
@@ -653,7 +655,7 @@ class SbmDistinguish(_Experiment):
             g, c_bar / n,
             method=options["solver"],
             tol=float(options["tol"]),
-            max_iter=int(options["max_iter"]))
+            max_iter=_GAP_MAX_ITER)
         return {"_point": point_index, "n": n, "alpha": alpha, "beta": beta,
                 "seed": replicate, "planted_score": score,
                 "witness": witness.value,
@@ -688,22 +690,21 @@ class Concentration(_Experiment):
 
     name = "concentration"
     grids = (("n", "m"),)
-    option_defaults = {"cap": ORACLE_CAP, "t_values": (0.2, 0.4, 0.6), "wilson_z": 3.0}
+    option_defaults = {"t_values": (0.2, 0.4, 0.6), "wilson_z": 3.0}
     summary = {"tails": _tails}
     checks = (Check("tails_ok", lambda groups, cfg: _agg(np.mean, (
                         row["ok"] for row in _tails(groups, cfg))),
                     lambda point, cfg: (1.0, 1.0)),)
 
     def validate(self, cfg):
-        cap = int(cfg.options["cap"])
         for n in cfg.grid["n"]:
-            if n > cap:
-                raise TooLargeError(f"n={n} above oracle cap {cap}")
+            if n > ORACLE_CAP:
+                raise TooLargeError(f"n={n} above oracle cap {ORACLE_CAP}")
 
     def task(self, options, base_seed, point_index, point, replicate):
         n, m = int(point["n"]), int(point["m"])
         g = gen_gnm(n, m, substream(base_seed, point_index, replicate))
-        q = exact_modularity(g, cap=int(options["cap"])).q_star_float
+        q = exact_modularity(g).q_star_float
         return {"_point": point_index, "n": n, "m": m,
                 "seed": replicate, "q_star": q}
 

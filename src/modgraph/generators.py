@@ -64,7 +64,8 @@ class GeneratorSpec:
     """Parameters plus seed for one random-graph draw.
 
     Exactly the fields of the selected model may be set: p for GNP, m for
-    GNM, (alpha, beta, k) for PLANTED.
+    GNM, (alpha, beta, k) for PLANTED.  Their ranges are checked by the
+    generator that `sample` calls.
     """
 
     model: Model
@@ -86,19 +87,6 @@ class GeneratorSpec:
                 raise ValueError(f"model {self.model.value} requires field {name!r}")
             if name not in required and val is not None:
                 raise ValueError(f"model {self.model.value} forbids field {name!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.model is Model.GNP and not (0.0 <= self.p <= 1.0):
-            raise ValueError("p must lie in [0, 1]")
-        if self.model is Model.GNM and not (0 <= self.m <= self.n * (self.n - 1) // 2):
-            raise MTooLargeError(f"m={self.m} exceeds pair count for n={self.n}")
-        if self.model is Model.PLANTED:
-            if not (0.0 < self.alpha <= self.n):
-                raise RateOutOfRangeError("alpha/n must lie in (0, 1]")
-            if not (0.0 <= self.beta <= self.n):
-                raise RateOutOfRangeError("beta/n must lie in [0, 1]")
-            if self.k < 2:
-                raise ValueError("planted model needs k >= 2 blocks")
 
     def to_json(self) -> str:
         payload = {key: getattr(self, key) for key in _SPEC_KEYS}
@@ -248,7 +236,7 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
         u[m:m + pos.size], v[m:m + pos.size] = _pairs_from_index(pos, starts)
         m += pos.size
     del starts  # n int64 row starts: free them before Graph adds its O(n) degrees
-    return Graph.from_arrays(n, u[:m], v[:m], presorted=True, _trusted=True)
+    return Graph.from_arrays(n, u[:m], v[:m], _trusted=True)
 
 
 def gen_gnm(n: int, m: int, seed) -> Graph:
@@ -270,19 +258,21 @@ def gen_gnm(n: int, m: int, seed) -> Graph:
     pos = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
     pos.sort()
     u, v = _pairs_from_index(pos, _row_starts(n))
-    return Graph.from_arrays(n, u, v, presorted=True, _trusted=True)
+    return Graph.from_arrays(n, u, v, _trusted=True)
 
 
 def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph:
     """Planted k-block graph: labels iid uniform on 0..k-1; a pair is an edge
     with probability alpha/n when the labels agree and beta/n otherwise.
     Labels are retained in the output (callers may discard them)."""
-    if k < 2:
-        raise ValueError("planted model needs k >= 2 blocks")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not (0.0 < alpha <= n):
         raise RateOutOfRangeError("alpha/n must lie in (0, 1]")
     if not (0.0 <= beta <= n):
         raise RateOutOfRangeError("beta/n must lie in [0, 1]")
+    if k < 2:
+        raise ValueError("planted model needs k >= 2 blocks")
     rng = _rng(seed)
     labels = rng.integers(0, k, size=n)
     blocks = [np.flatnonzero(labels == i) for i in range(k)]
@@ -315,7 +305,7 @@ def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph
     else:
         eu = np.empty(0, dtype=np.int64)
         ev = np.empty(0, dtype=np.int64)
-    graph = Graph.from_arrays(n, eu, ev, presorted=False)
+    graph = Graph.from_arrays(n, eu, ev)
     return LabeledGraph(graph=graph, labels=labels, k=k)
 
 

@@ -105,23 +105,23 @@ class Graph:
             raise ValueError("edges must be pairs")
         u = np.minimum(arr[:, 0], arr[:, 1])
         v = np.maximum(arr[:, 0], arr[:, 1])
-        self._init_from_arrays(int(n), u, v, presorted=False)
+        self._init_from_arrays(int(n), u, v)
 
     @classmethod
     def from_arrays(cls, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
-                    presorted: bool = False, _trusted: bool = False) -> "Graph":
-        """Fast path for generators: requires edge_u[i] < edge_v[i] already.
+                    _trusted: bool = False) -> "Graph":
+        """Fast path for generators: needs edge_u[i] < edge_v[i], pairs in any order.
 
         _trusted skips the sortedness/duplicate scan; only callers that
         construct edges as strictly increasing pair indices may set it.
         """
         g = cls.__new__(cls)
         g._init_from_arrays(int(n), np.asarray(edge_u), np.asarray(edge_v),
-                            presorted=presorted, trusted=_trusted)
+                            trusted=_trusted)
         return g
 
     def _init_from_arrays(self, n: int, u: np.ndarray, v: np.ndarray,
-                          presorted: bool, trusted: bool = False) -> None:
+                          trusted: bool = False) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if u.shape != v.shape:
@@ -143,16 +143,16 @@ class Graph:
                         raise ValueError(f"self-loop at vertex {int(u[bad])}")
                     raise ValueError("edges must satisfy u < v")
             if not trusted:
-                if not presorted:
-                    order = np.lexsort((v, u))
-                    u = u[order]
-                    v = v[order]
+                # keys u*n + v: sorted only when one scan finds them out of order
                 key = u.astype(np.int64) * n
                 key += v
                 if np.any(np.diff(key) <= 0):
-                    if presorted:
-                        raise ValueError("edge arrays are not sorted or contain duplicates")
-                    raise ValueError("duplicate edge")
+                    order = np.argsort(key)
+                    u = u[order]
+                    v = v[order]
+                    key = key[order]
+                    if np.any(np.diff(key) <= 0):
+                        raise ValueError("duplicate edge")
                 del key
         u.setflags(write=False)
         v.setflags(write=False)
@@ -191,10 +191,6 @@ class Graph:
         np.cumsum(self.deg, out=indptr[1:])
         return indptr, tgts[order]
 
-    def neighbors(self, v: int) -> np.ndarray:
-        indptr, nbrs = self._adjacency
-        return nbrs[indptr[v]:indptr[v + 1]]
-
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, neighbors) CSR covering both directions of each edge."""
         return self._adjacency
@@ -229,7 +225,7 @@ class Partition:
 
     __slots__ = ("assign", "k")
 
-    def __init__(self, assign: Sequence[int] | np.ndarray, k: int | None = None):
+    def __init__(self, assign: Sequence[int] | np.ndarray):
         arr = np.asarray(assign, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidPartitionError("assignment must be a non-empty vector")
@@ -240,8 +236,6 @@ class Partition:
         # allocates nk counters
         if nk > arr.size or not np.bincount(arr, minlength=nk).all():
             raise InvalidPartitionError("part ids must be contiguous (no empty parts)")
-        if k is not None and k != nk:
-            raise InvalidPartitionError(f"declared k={k} but assignment uses {nk} parts")
         arr = arr.astype(np.int32 if nk <= np.iinfo(np.int32).max else np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "assign", arr)
@@ -276,23 +270,6 @@ class Partition:
         return cls(rank[first[arr]])
 
     @classmethod
-    def from_parts(cls, parts: Sequence[Sequence[int]], n: int) -> "Partition":
-        assign = np.full(n, -1, dtype=np.int64)
-        for i, part in enumerate(parts):
-            for v in part:
-                if assign[v] != -1:
-                    raise InvalidPartitionError(f"vertex {v} listed twice")
-                assign[v] = i
-        if (assign == -1).any():
-            missing = int(np.flatnonzero(assign == -1)[0])
-            raise InvalidPartitionError(f"vertex {missing} not assigned")
-        return cls.from_labels(assign)
-
-    @classmethod
-    def trivial(cls, n: int) -> "Partition":
-        return cls(np.zeros(n, dtype=np.int64))
-
-    @classmethod
     def singletons(cls, n: int) -> "Partition":
         return cls(np.arange(n, dtype=np.int64))
 
@@ -325,10 +302,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition(n={self.n}, k={self.k})"
-
-    def canonical(self) -> "Partition":
-        """Relabel to the canonical id order (smallest vertex first)."""
-        return Partition.from_labels(self.assign)
 
 
 @dataclass(frozen=True)
@@ -395,8 +368,7 @@ def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
     sel = mask[g.edge_u] & mask[g.edge_v]
     new_id = np.cumsum(mask) - 1
     return Graph.from_arrays(int(keep.size),
-                             new_id[g.edge_u[sel]], new_id[g.edge_v[sel]],
-                             presorted=True)
+                             new_id[g.edge_u[sel]], new_id[g.edge_v[sel]])
 
 
 def strip_isolated(g: Graph) -> tuple[Graph, np.ndarray]:
@@ -409,6 +381,13 @@ def _open(path_or_file, mode: str):
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
         return path_or_file, False
     return open(path_or_file, mode), True
+
+
+def _expect_end(fh, line_no: int, message: str) -> None:
+    """Only blank lines may follow the records; line_no numbers the next line."""
+    for line_no, line in enumerate(fh, start=line_no):
+        if line.strip():
+            raise EdgeListFormatError(line_no, message)
 
 
 def read_edgelist(path_or_file) -> Graph:
@@ -452,7 +431,8 @@ def read_edgelist(path_or_file) -> Graph:
             seen[(u, v)] = line_no
             eu[i] = u
             ev[i] = v
-        return Graph.from_arrays(n, eu, ev, presorted=False)
+        _expect_end(fh, m + 2, f"expected {m} edges, found more")
+        return Graph.from_arrays(n, eu, ev)
     finally:
         if close:
             fh.close()
@@ -488,9 +468,13 @@ def read_partition(path_or_file) -> Partition:
             if not line:
                 raise EdgeListFormatError(i + 2, "file ended early")
             try:
-                assign[i] = int(line.split()[0])
-            except (IndexError, ValueError):
-                raise EdgeListFormatError(i + 2, "expected an integer part id") from None
+                (token,) = line.split()
+                assign[i] = int(token)
+            except ValueError:
+                raise EdgeListFormatError(i + 2, "expected one integer part id") from None
+            if assign[i] < 0:
+                raise EdgeListFormatError(i + 2, "negative part id")
+        _expect_end(fh, n + 2, f"expected {n} part ids, found more")
         part = Partition(assign)
         if part.k != k:
             raise EdgeListFormatError(1, f"header declares k={k} but ids use {part.k} parts")

@@ -33,11 +33,9 @@ __all__ = [
     "UpperWitness",
     "IsolatedVertexError",
     "TooLargeError",
-    "NoConvergenceError",
     "normalized_laplacian",
     "spectral_summary",
     "extremal_gap",
-    "spectral_gap_extremal",
     "discrepancy_audit",
     "prune",
     "spectral_upper_witness",
@@ -52,18 +50,6 @@ class IsolatedVertexError(ValueError):
 
 class TooLargeError(ValueError):
     """Graph exceeds the dense-solver cap (or an oracle cap)."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Power iteration hit its cap; carries the best estimate so far."""
-
-    def __init__(self, best_estimate: float, iterations: int, residual: float):
-        super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(best estimate {best_estimate:.6g}, residual {residual:.3g})")
-        self.best_estimate = best_estimate
-        self.iterations = iterations
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -159,14 +145,14 @@ def _normalized_adjacency_operator(g: Graph):
     return mat.dot
 
 
-def extremal_gap(g: Graph, tol: float = 1e-6, max_iter: int = 100_000,
-                 seed: int = 0) -> GapEstimate:
+def extremal_gap(g: Graph, tol: float = 1e-6, max_iter: int = 100_000) -> GapEstimate:
     """Gap to additive accuracy ~tol by power iteration on the deflated
     operator B = D^{-1/2} A D^{-1/2} - v v^T, v = D^{1/2} 1 / sqrt(2m).
 
     Iterates x <- B^2 x; the Ritz value rho = ||Bx||^2 climbs to gap^2 and
     the residual ||B^2 x - rho x|| bounds the distance to a true
-    eigenvalue, giving the stopping rule r / (2 sqrt(rho)) <= tol.
+    eigenvalue, giving the stopping rule r / (2 sqrt(rho)) <= tol.  The
+    start vector comes from substream(0, n, m), so the result depends on g alone.
     """
     _check_spectral_pre(g)
     apply_m = _normalized_adjacency_operator(g)
@@ -177,7 +163,7 @@ def extremal_gap(g: Graph, tol: float = 1e-6, max_iter: int = 100_000,
         y -= v * (v @ x)
         return y
 
-    rng = substream(seed, g.n, g.m)
+    rng = substream(0, g.n, g.m)
     x = rng.standard_normal(g.n)
     x -= v * (v @ x)
     norm = np.linalg.norm(x)
@@ -209,16 +195,6 @@ def extremal_gap(g: Graph, tol: float = 1e-6, max_iter: int = 100_000,
             continue
         x = z / nz
     return GapEstimate(estimate, False, iterations, residual)
-
-
-def spectral_gap_extremal(g: Graph, tol: float = 1e-6,
-                          max_iter: int = 100_000, seed: int = 0) -> float:
-    """Gap via the iterative path; raises NoConvergenceError (carrying the
-    best estimate) if the iteration cap is hit."""
-    est = extremal_gap(g, tol=tol, max_iter=max_iter, seed=seed)
-    if not est.converged:
-        raise NoConvergenceError(est.value, est.iterations, est.residual)
-    return est.value
 
 
 def _subset_stats_exhaustive(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +268,7 @@ def prune(g: Graph, p_model: float, degree_factor: float = 0.5,
 def spectral_upper_witness(g: Graph, p_model: float, *,
                            degree_factor: float = 0.5, neighbor_cap: int = 100,
                            method: str = "auto", tol: float = 1e-3,
-                           max_iter: int = 100_000, cap: int = DENSE_CAP,
-                           seed: int = 0) -> UpperWitness:
+                           max_iter: int = 100_000, cap: int = DENSE_CAP) -> UpperWitness:
     """Upper bound on q*(G): prune, keep the heaviest connected component H'
     of the core (edges of everything else count as deleted), then
     gap(H') + 2 |deleted| / m.
@@ -319,7 +294,7 @@ def spectral_upper_witness(g: Graph, p_model: float, *,
         lam = spectral_summary(sub, cap=cap).gap
         converged = True
     else:
-        est = extremal_gap(sub, tol=tol, max_iter=max_iter, seed=seed)
+        est = extremal_gap(sub, tol=tol, max_iter=max_iter)
         lam = est.value
         converged = est.converged
     return UpperWitness(lambda_bar=float(lam), removed_edges=removed,

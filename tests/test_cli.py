@@ -7,6 +7,7 @@ import pytest
 from modgraph.cli import build_parser, main
 from modgraph.graph import read_edgelist
 from modgraph.oracle import ORACLE_CAP
+from modgraph.spectral import GapEstimate
 
 
 @pytest.fixture
@@ -88,7 +89,17 @@ class TestSpectralCommand:
     def test_extremal(self, p4_file, capsys):
         assert main(["spectral", p4_file, "--method", "extremal",
                      "--tol", "1e-6"]) == 0
-        assert "extremal path" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "extremal path" in out and "converged=True" in out
+        assert "iterations" in out and "residual" in out
+
+    def test_extremal_unconverged_exits_one(self, p4_file, capsys, monkeypatch):
+        monkeypatch.setattr("modgraph.cli.extremal_gap",
+                            lambda g, tol: GapEstimate(0.5, False, 4, 0.25))
+        assert main(["spectral", p4_file, "--method", "extremal"]) == 1
+        out = capsys.readouterr().out
+        assert "gap = 0.5" in out and "iterations 4" in out
+        assert "residual 0.25" in out and "converged=False" in out
 
 
 class TestExperimentCommands:

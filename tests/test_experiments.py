@@ -72,10 +72,19 @@ class TestConfig:
             ExperimentConfig.from_file(path)
 
     def test_option_defaults_filled_in(self):
-        from modgraph.oracle import ORACLE_CAP
         c = cfg(experiment="concentration", grid={"n": [8], "m": [10]})
-        assert c.options["cap"] == ORACLE_CAP
-        assert c.options["t_values"] == (0.2, 0.4, 0.6)
+        assert c.options == {"t_values": (0.2, 0.4, 0.6), "wilson_z": 3.0}
+        c = cfg(experiment="sbm-distinguish",
+                grid={"n": [100], "alpha": [4.0], "beta": [1.0]})
+        assert c.options == {"solver": "extremal", "tol": 1e-3}
+        # the oracle cap and the gap solver's iteration cap are constants
+        for experiment, grid, key in (
+                ("concentration", {"n": [8], "m": [10]}, "cap"),
+                ("growth-rate", {"n": [100], "np": [4.0]}, "max_iter"),
+                ("sbm-distinguish", {"n": [100], "alpha": [4.0], "beta": [1.0]},
+                 "max_iter")):
+            with pytest.raises(ValueError, match=f"options key '{key}'"):
+                cfg(experiment=experiment, grid=grid, options={key: 1})
 
     def test_eps_range(self):
         with pytest.raises(EpsOutOfRangeError):

@@ -34,13 +34,23 @@ class TestGeneratorSpec:
         assert '"model": "planted"' in spec.to_json()
 
     def test_bounds(self):
-        with pytest.raises(MTooLargeError):
-            GeneratorSpec(model=Model.GNM, n=4, seed=0, m=7)
-        with pytest.raises(RateOutOfRangeError):
-            GeneratorSpec(model=Model.PLANTED, n=10, seed=0, alpha=11.0,
-                          beta=1.0, k=2)
-        with pytest.raises(ValueError):
-            GeneratorSpec(model=Model.GNP, n=10, seed=0, p=1.5)
+        # a spec is built whatever its ranges; the generator that sample
+        # calls checks them and raises the exact type
+        for fields, error in [
+                (dict(model=Model.GNM, n=4, m=7), MTooLargeError),
+                (dict(model=Model.GNM, n=0, m=0), ValueError),
+                (dict(model=Model.PLANTED, n=10, alpha=11.0, beta=1.0, k=2),
+                 RateOutOfRangeError),
+                (dict(model=Model.PLANTED, n=10, alpha=2.0, beta=11.0, k=1),
+                 RateOutOfRangeError),
+                (dict(model=Model.PLANTED, n=10, alpha=2.0, beta=1.0, k=1), ValueError),
+                (dict(model=Model.PLANTED, n=0, alpha=2.0, beta=1.0, k=2), ValueError),
+                (dict(model=Model.GNP, n=10, p=1.5), ValueError),
+                (dict(model=Model.GNP, n=0, p=0.5), ValueError)]:
+            spec = GeneratorSpec(seed=0, **fields)
+            with pytest.raises(error) as info:
+                sample(spec)
+            assert type(info.value) is error, fields
 
     def test_sample_dispatch(self):
         g = sample(GeneratorSpec(model=Model.GNM, n=6, seed=4, m=5))
@@ -165,7 +175,7 @@ def _positions_reference(rng, count, p, requests=None):
 
 def _gnp_reference(n, p, rng):
     u, v = _pairs_by_edge_search(_positions_reference(rng, n * (n - 1) // 2, p), n)
-    return Graph.from_arrays(n, u, v, presorted=True)
+    return Graph.from_arrays(n, u, v)
 
 
 def _two_request_seed(count, p):
@@ -253,7 +263,7 @@ class TestGrowthPathMemory:
 
     def test_build_no_edge_sized_temporary(self, graph):
         _, peak = _peak_alloc(lambda: Graph.from_arrays(
-            graph.n, graph.edge_u, graph.edge_v, presorted=True, _trusted=True))
+            graph.n, graph.edge_u, graph.edge_v, _trusted=True))
         assert peak < graph.m
 
     def test_swap_no_edge_sized_temporary(self, graph):

@@ -83,9 +83,29 @@ class TestGraphConstruction:
         assert g.m == 0 and g.deg.tolist() == [0, 0, 0]
 
     def test_neighbors(self):
-        g = path(4)
-        assert sorted(g.neighbors(1).tolist()) == [0, 2]
-        assert sorted(g.neighbors(0).tolist()) == [1]
+        indptr, nbrs = path(4).adjacency()
+        assert sorted(nbrs[indptr[1]:indptr[2]].tolist()) == [0, 2]
+        assert sorted(nbrs[indptr[0]:indptr[1]].tolist()) == [1]
+
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]).map(sorted).map(tuple),
+                 min_size=1, max_size=20, unique=True),
+        st.randoms())))
+    def test_from_arrays_any_order(self, case):
+        # one key scan takes sorted pairs as they are; any other order is
+        # sorted by key, and a repeated pair is caught after the sort
+        n, edges, rnd = case
+        u, v = np.array(sorted(edges)).T
+        want = Graph.from_arrays(n, u, v)
+        assert want.edge_list() == sorted(edges)
+        order = np.array(rnd.sample(range(len(edges)), len(edges)))
+        got = Graph.from_arrays(n, u[order], v[order])
+        assert got == want and got.deg.tolist() == want.deg.tolist()
+        dup = np.insert(order, rnd.randrange(len(edges) + 1), rnd.choice(order))
+        with pytest.raises(ValueError, match="duplicate edge"):
+            Graph.from_arrays(n, u[dup], v[dup])
 
 
 def _from_labels_by_sorting(labels):
@@ -117,17 +137,16 @@ class TestPartition:
         with pytest.raises(InvalidPartitionError):
             Partition([0, 2, 2])
 
-    @pytest.mark.parametrize("assign, k, message", [
-        ([0, -1, 1], None, "negative part id"),
-        ([1, 0, 3, 3], None, "contiguous"),
-        ([0, 1, 1], 3, "declared k=3 but assignment uses 2 parts"),
-        ([0, 10**12], None, "contiguous"),
+    @pytest.mark.parametrize("assign, message", [
+        ([0, -1, 1], "negative part id"),
+        ([1, 0, 3, 3], "contiguous"),
+        ([0, 10**12], "contiguous"),
     ])
-    def test_constructor_errors(self, assign, k, message):
+    def test_constructor_errors(self, assign, message):
         tracemalloc.start()
         try:
             with pytest.raises(InvalidPartitionError, match=message):
-                Partition(assign, k)
+                Partition(assign)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,18 +176,10 @@ class TestPartition:
         p = Partition.from_labels([7, 3, 7, 1])
         assert p.assign.tolist() == [0, 1, 0, 2]
 
-    def test_from_parts(self):
-        p = Partition.from_parts([[2, 3], [0, 1]], 4)
-        assert p.assign.tolist() == [0, 0, 1, 1]
-        with pytest.raises(InvalidPartitionError):
-            Partition.from_parts([[0, 1], [1, 2]], 3)
-        with pytest.raises(InvalidPartitionError):
-            Partition.from_parts([[0, 1]], 3)
-
     def test_k_bounds(self):
         p = Partition.singletons(5)
         assert p.k == 5
-        assert Partition.trivial(5).k == 1
+        assert Partition(np.zeros(5, dtype=int)).k == 1
 
     def test_parts_and_sizes(self):
         p = Partition([0, 1, 0, 2])
@@ -178,13 +189,13 @@ class TestPartition:
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=12))
     def test_from_labels_idempotent(self, labels):
         p = Partition.from_labels(labels)
-        assert p.canonical() == p
+        assert Partition.from_labels(p.assign) == p
         assert p.k == len(set(labels))
 
 
 class TestModularityScore:
     def test_single_edge_trivial(self):
-        b = modularity_score(Graph(2, [(0, 1)]), Partition.trivial(2))
+        b = modularity_score(Graph(2, [(0, 1)]), Partition(np.zeros(2, dtype=int)))
         assert (b.coverage, b.degree_tax, b.score) == (1.0, 1.0, 0.0)
 
     def test_p4_half_split(self):
@@ -199,12 +210,12 @@ class TestModularityScore:
 
     def test_empty_graph_refused(self):
         with pytest.raises(EmptyGraphError):
-            modularity_score(Graph(3, []), Partition.trivial(3))
+            modularity_score(Graph(3, []), Partition(np.zeros(3, dtype=int)))
 
     def test_trivial_partition_scores_zero_everywhere(self):
         for i in range(50):
             g = random_graph_sized(make_rng(2, i), 2, 14)
-            assert modularity_score(g, Partition.trivial(g.n)).score == 0.0
+            assert modularity_score(g, Partition(np.zeros(g.n, dtype=int))).score == 0.0
 
     def test_score_below_one_and_ranges(self):
         for i in range(200):
@@ -306,7 +317,7 @@ class TestDegreeTaxBounds:
 
     def test_needs_two_parts(self):
         with pytest.raises(InvalidPartitionError):
-            degree_tax_bounds_check(path(4), Partition.trivial(4))
+            degree_tax_bounds_check(path(4), Partition(np.zeros(4, dtype=int)))
 
     def test_random_pairs(self):
         # the four convexity bounds are theorems: 1000 random pairs, n <= 12
@@ -365,6 +376,16 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListFormatError, match="line 1"):
             read_edgelist(io.StringIO("3\n"))
 
+    def test_extra_edge_line_numbered(self):
+        with pytest.raises(EdgeListFormatError, match="^line 3: .* found more") as err:
+            read_edgelist(io.StringIO("3 1\n0 1\n0 2\n"))
+        assert err.value.line == 3
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 1\n0 1\n\n \n")
+        assert read_edgelist(str(path)).edge_list() == [(0, 1)]
+
 
 class TestPartitionFormat:
     def test_roundtrip(self):
@@ -383,11 +404,19 @@ class TestPartitionFormat:
         ("3 2\n0\nx\n1\n", 3),  # non-integer id
         ("a b\n0\n", 1),        # non-integer header
         ("-1 0\n", 1),          # negative vertex count
+        ("3 2\n0\n1 1\n1\n", 3),  # two tokens on an id line
+        ("2 2\n0\n1\n1\n", 4),    # an id line after the n-th
+        ("2 1\n0\n-1\n", 3),      # negative id
     ])
     def test_malformed_lines_raise_typed_error(self, text, line):
         with pytest.raises(EdgeListFormatError, match=f"^line {line}: ") as err:
             read_partition(io.StringIO(text))
         assert err.value.line == line
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("2 2\n0\n1\n\n \n")
+        assert read_partition(str(path)) == Partition([0, 1])
 
 
 def _pairwise_definition_score(g, p):
@@ -408,6 +437,7 @@ def _pairwise_definition_score(g, p):
 
 def _bfs_components(g):
     """Independent components route: plain BFS over adjacency lists."""
+    indptr, nbrs = g.adjacency()
     seen = [-1] * g.n
     nxt = 0
     for start in range(g.n):
@@ -417,7 +447,7 @@ def _bfs_components(g):
         queue = [start]
         while queue:
             u = queue.pop()
-            for v in g.neighbors(u).tolist():
+            for v in nbrs[indptr[u]:indptr[u + 1]].tolist():
                 if seen[v] == -1:
                     seen[v] = nxt
                     queue.append(v)

@@ -11,11 +11,9 @@ from modgraph.generators import gen_gnp, substream
 from modgraph.graph import (EmptyGraphError, Graph, Partition,
                             modularity_score, strip_isolated)
 from modgraph.oracle import exact_modularity
-from modgraph.spectral import (IsolatedVertexError,
-                               NoConvergenceError, TooLargeError,
+from modgraph.spectral import (IsolatedVertexError, TooLargeError,
                                discrepancy_audit, extremal_gap,
-                               normalized_laplacian, prune,
-                               spectral_gap_extremal, spectral_summary,
+                               normalized_laplacian, prune, spectral_summary,
                                spectral_upper_witness)
 
 from _samplers import (random_connected_graph, random_graph_sized,
@@ -96,33 +94,33 @@ class TestSpectralSummary:
 
 class TestExtremalGap:
     def test_k4_to_tol(self):
-        assert spectral_gap_extremal(complete(4), tol=1e-6) == pytest.approx(
-            1 / 3, abs=1e-6)
+        est = extremal_gap(complete(4), tol=1e-6)
+        assert est.converged
+        assert est.value == pytest.approx(1 / 3, abs=1e-6)
 
     def test_two_k2_disconnected(self):
-        assert spectral_gap_extremal(Graph(4, [(0, 1), (2, 3)]),
-                                     tol=1e-6) == pytest.approx(1.0, abs=1e-6)
+        assert extremal_gap(Graph(4, [(0, 1), (2, 3)]),
+                            tol=1e-6).value == pytest.approx(1.0, abs=1e-6)
 
     def test_agrees_with_dense_on_battery(self):
         for g in BATTERY:
             dense = spectral_summary(g).gap
-            assert spectral_gap_extremal(g, tol=1e-6) == pytest.approx(
+            assert extremal_gap(g, tol=1e-6).value == pytest.approx(
                 dense, abs=2e-6)
 
     def test_agrees_with_dense_on_random(self):
         for i in range(20):
             g = random_connected_graph(make_rng(21, i), 5, 40)
             dense = spectral_summary(g).gap
-            assert spectral_gap_extremal(g, tol=1e-6) == pytest.approx(
+            assert extremal_gap(g, tol=1e-6).value == pytest.approx(
                 dense, abs=2e-6)
 
     def test_no_convergence_reports_estimate(self):
         g = random_connected_graph(make_rng(22), 20, 30)
-        with pytest.raises(NoConvergenceError) as info:
-            spectral_gap_extremal(g, tol=1e-12, max_iter=4)
-        assert 0.0 <= info.value.best_estimate <= 1.0 + 1e-8
         est = extremal_gap(g, tol=1e-12, max_iter=4)
-        assert not est.converged
+        assert not est.converged and est.iterations == 4
+        assert 0.0 <= est.value <= 1.0 + 1e-8
+        assert est.residual > 0.0
 
     @pytest.mark.slow
     def test_gnp_gap_below_half(self):
@@ -151,8 +149,9 @@ class TestModularityBound:
 
     def test_trivial_partition(self):
         g = path(4)
-        assert _gap_bound(g, Partition.trivial(4)) == 0.0
-        assert modularity_score(g, Partition.trivial(4)).score == 0.0
+        trivial = Partition(np.zeros(4, dtype=int))
+        assert _gap_bound(g, trivial) == 0.0
+        assert modularity_score(g, trivial).score == 0.0
 
     def test_p4_split(self):
         g = path(4)
