@@ -12,6 +12,9 @@ Utility subcommands operate directly on edge-list / partition files:
     modgraph score graph.txt partition.txt
     modgraph generate --spec spec.json --out graph.txt
     modgraph spectral graph.txt --method extremal --tol 1e-6
+
+Input the library rejects (a malformed file, a bad parameter or config, an
+unreadable path) prints one "error: ..." line and exits 2.
 """
 
 from __future__ import annotations
@@ -44,9 +47,8 @@ def _add_experiment_parsers(sub) -> None:
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if cfg.experiment != args.experiment:
-        print(f"error: config is for {cfg.experiment!r}, subcommand is "
-              f"{args.experiment!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"config is for {cfg.experiment!r}, subcommand is "
+                         f"{args.experiment!r}")
     if args.seed is not None:
         cfg.base_seed = args.seed
     result = run_experiment(cfg, threads=args.threads)
@@ -198,7 +200,12 @@ def main(argv=None) -> int:
     if args.command == "generate" and not args.spec:
         if args.model is None or args.n is None:
             parser.error("generate needs --spec or at least --model and --n")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # typed input errors; a failed sweep task raises RuntimeError instead
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -56,9 +56,6 @@ class EpsOutOfRangeError(ValueError):
 
 _FLOAT_FMT = "%.12g"
 
-# iteration cap of the upper witness's gap solver in every sweep
-_GAP_MAX_ITER = 200_000
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -459,10 +456,7 @@ class GrowthRate(_Experiment):
                "swap_count": int(np.count_nonzero(trace.swaps))}
         if options["upper_witness"]:
             witness = spectral_upper_witness(
-                g, p,
-                method=options["solver"],
-                tol=float(options["tol"]),
-                max_iter=_GAP_MAX_ITER)
+                g, p, method=options["solver"], tol=float(options["tol"]))
             rec.update({
                 "lambda_pruned": witness.lambda_bar,
                 "removed_edge_frac": witness.removed_fraction,
@@ -621,7 +615,7 @@ class Planted(_Experiment):
                 f"matched-density ER at these rates", RuntimeWarning)
         lg = gen_planted(n, alpha, beta, k,
                          substream(base_seed, point_index, replicate))
-        part = planted_partition(lg, balance=True)
+        part = planted_partition(lg)
         score = modularity_score(lg.graph, part).score
         return {"_point": point_index, "n": n, "c": c, "k": k,
                 "alpha": alpha, "beta": beta, "seed": replicate,
@@ -647,15 +641,11 @@ class SbmDistinguish(_Experiment):
         alpha, beta = float(point["alpha"]), float(point["beta"])
         lg = gen_planted(n, alpha, beta, 2,
                          substream(base_seed, point_index, replicate, 0))
-        score = modularity_score(lg.graph,
-                                 planted_partition(lg, balance=True)).score
+        score = modularity_score(lg.graph, planted_partition(lg)).score
         c_bar = 0.5 * (alpha + beta)
         g = gen_gnp(n, c_bar / n, substream(base_seed, point_index, replicate, 1))
         witness = spectral_upper_witness(
-            g, c_bar / n,
-            method=options["solver"],
-            tol=float(options["tol"]),
-            max_iter=_GAP_MAX_ITER)
+            g, c_bar / n, method=options["solver"], tol=float(options["tol"]))
         return {"_point": point_index, "n": n, "alpha": alpha, "beta": beta,
                 "seed": replicate, "planted_score": score,
                 "witness": witness.value,

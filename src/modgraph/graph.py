@@ -13,6 +13,8 @@ operation in this module is a pure function.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -379,117 +381,116 @@ def strip_isolated(g: Graph) -> tuple[Graph, np.ndarray]:
 
 def _open(path_or_file, mode: str):
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode), True
+        return contextlib.nullcontext(path_or_file)
+    return open(path_or_file, mode)
 
 
-def _expect_end(fh, line_no: int, message: str) -> None:
-    """Only blank lines may follow the records; line_no numbers the next line."""
-    for line_no, line in enumerate(fh, start=line_no):
-        if line.strip():
-            raise EdgeListFormatError(line_no, message)
+def _read_records(path_or_file, header: str, counted: int, width: int,
+                  record: str, noun: str):
+    """Read a header of two non-negative integers named `header`, as many
+    records of `width` integers as header field `counted` says, and then
+    only blank lines.  Returns the header, the records before the first
+    malformed line (int64, one row each) and that line's
+    EdgeListFormatError, or None when every line is well formed."""
+    with _open(path_or_file, "r") as fh:
+        fields = fh.readline().split()
+        lines = fh.readlines()
+    try:
+        a, b = np.array(fields, dtype=np.int64).tolist()
+    except (ValueError, OverflowError):
+        raise EdgeListFormatError(1, f"expected integer header '{header}'") from None
+    if a < 0 or b < 0:
+        raise EdgeListFormatError(1, f"{' and '.join(header.split())} must be non-negative")
+    count = (a, b)[counted]
+    body = lines[:count]
+    good = next((i for i, line in enumerate(body) if len(line.split()) != width), len(body))
+    try:
+        values = np.array(" ".join(body[:good]).split(), dtype=np.int64)
+    except (ValueError, OverflowError):  # a token that is no int64: find its line
+        for good, line in enumerate(body):
+            try:
+                np.array(line.split(), dtype=np.int64)
+            except (ValueError, OverflowError):
+                break
+        values = np.array(" ".join(body[:good]).split(), dtype=np.int64)
+    extra = next((i for i, line in enumerate(lines[count:], count + 2) if line.strip()), None)
+    err = None
+    if good < len(body):
+        err = EdgeListFormatError(good + 2, f"expected {record}")
+    elif good < count:
+        err = EdgeListFormatError(good + 2, f"expected {count} {noun}, file ended early")
+    elif extra is not None:
+        err = EdgeListFormatError(extra, f"expected {count} {noun}, found more")
+    return (a, b), values.reshape(-1, width), err
 
 
 def read_edgelist(path_or_file) -> Graph:
     """Parse the edge-list text format: first line "n m", then m lines
-    "u v" with 0 <= u < v < n.  Duplicates and self-loops are rejected with
-    the offending line number."""
-    fh, close = _open(path_or_file, "r")
-    try:
-        header = fh.readline()
-        fields = header.split()
-        if len(fields) != 2:
-            raise EdgeListFormatError(1, "expected header 'n m'")
+    "u v" with 0 <= u < v < n, no edge twice.  The first faulty line in
+    file order is reported as an EdgeListFormatError with its number."""
+    (n, _), edges, err = _read_records(path_or_file, "n m", 1, 2, "integers 'u v'", "edges")
+    # Graph keeps endpoints as int32 when n allows, and that cast would wrap
+    # a larger value into range; clipping to [-1, n] keeps every fault a fault
+    u, v = np.clip(edges, -1, n).T
+
+    def fault(lo: int, hi: int) -> tuple[ValueError | None, Graph | None]:
         try:
-            n, m = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise EdgeListFormatError(1, "expected integer header 'n m'") from None
-        if n < 0 or m < 0:
-            raise EdgeListFormatError(1, "n and m must be non-negative")
-        eu = np.empty(m, dtype=np.int64)
-        ev = np.empty(m, dtype=np.int64)
-        seen: dict[tuple[int, int], int] = {}
-        for i in range(m):
-            line_no = i + 2
-            line = fh.readline()
-            if not line:
-                raise EdgeListFormatError(line_no, f"expected {m} edges, file ended early")
-            fields = line.split()
-            if len(fields) != 2:
-                raise EdgeListFormatError(line_no, "expected 'u v'")
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise EdgeListFormatError(line_no, "expected integer endpoints") from None
-            if u == v:
-                raise EdgeListFormatError(line_no, f"self-loop at vertex {u}")
-            if not (0 <= u < v < n):
-                raise EdgeListFormatError(line_no, f"edge ({u}, {v}) violates 0 <= u < v < n")
-            if (u, v) in seen:
-                raise EdgeListFormatError(
-                    line_no, f"duplicate edge ({u}, {v}), first seen on line {seen[(u, v)]}")
-            seen[(u, v)] = line_no
-            eu[i] = u
-            ev[i] = v
-        _expect_end(fh, m + 2, f"expected {m} edges, found more")
-        return Graph.from_arrays(n, eu, ev)
-    finally:
-        if close:
-            fh.close()
+            return None, Graph.from_arrays(n, u[lo:hi], v[lo:hi])
+        except ValueError as exc:
+            return exc, None
+
+    exc, g = fault(0, len(edges))
+    if exc is not None:
+        # Graph only says that some edge is faulty.  A fault in a prefix
+        # stays in every longer one, so bisection finds the first.
+        i = bisect.bisect_left(range(len(edges) + 1), True,
+                               key=lambda k: fault(0, k)[0] is not None) - 1
+        if i < 0:  # Graph rejects n itself
+            raise EdgeListFormatError(1, str(exc))
+        a, b = edges[i].tolist()
+        alone, _ = fault(i, i + 1)
+        if alone is not None:
+            raise EdgeListFormatError(i + 2, f"edge ({a}, {b}) violates 0 <= u < v < n: {alone}")
+        first = int(np.flatnonzero((edges[:i] == edges[i]).all(axis=1))[0])
+        raise EdgeListFormatError(
+            i + 2, f"duplicate edge ({a}, {b}), first seen on line {first + 2}")
+    if err is not None:
+        raise err
+    return g
 
 
 def write_edgelist(g: Graph, path_or_file) -> None:
-    fh, close = _open(path_or_file, "w")
-    try:
+    with _open(path_or_file, "w") as fh:
         fh.write(f"{g.n} {g.m}\n")
         for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
             fh.write(f"{u} {v}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_partition(path_or_file) -> Partition:
-    """Parse the partition text format: first line "n k", then n part ids."""
-    fh, close = _open(path_or_file, "r")
+    """Parse the partition text format: first line "n k", then n part ids
+    in 0..k-1 that leave no part empty.  Faults are reported as
+    EdgeListFormatError with a line number: an id on its own line, an n or
+    k that no partition fits on line 1."""
+    (n, k), ids, err = _read_records(path_or_file, "n k", 0, 1,
+                                     "one integer part id", "part ids")
+    ids = ids.ravel()
+    outside = np.flatnonzero((ids < 0) | (ids >= k))
+    if outside.size:
+        i = int(outside[0])
+        raise EdgeListFormatError(i + 2, f"part id {ids[i]} outside 0..{k - 1}")
+    if err is not None:
+        raise err
     try:
-        fields = fh.readline().split()
-        if len(fields) != 2:
-            raise EdgeListFormatError(1, "expected header 'n k'")
-        try:
-            n, k = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise EdgeListFormatError(1, "expected integer header 'n k'") from None
-        if n < 0:
-            raise EdgeListFormatError(1, "n must be non-negative")
-        assign = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            line = fh.readline()
-            if not line:
-                raise EdgeListFormatError(i + 2, "file ended early")
-            try:
-                (token,) = line.split()
-                assign[i] = int(token)
-            except ValueError:
-                raise EdgeListFormatError(i + 2, "expected one integer part id") from None
-            if assign[i] < 0:
-                raise EdgeListFormatError(i + 2, "negative part id")
-        _expect_end(fh, n + 2, f"expected {n} part ids, found more")
-        part = Partition(assign)
-        if part.k != k:
-            raise EdgeListFormatError(1, f"header declares k={k} but ids use {part.k} parts")
-        return part
-    finally:
-        if close:
-            fh.close()
+        part = Partition(ids)
+    except InvalidPartitionError as exc:
+        raise EdgeListFormatError(1, f"header '{n} {k}': {exc}") from None
+    if part.k != k:
+        raise EdgeListFormatError(1, f"header declares k={k} but ids use {part.k} parts")
+    return part
 
 
 def write_partition(p: Partition, path_or_file) -> None:
-    fh, close = _open(path_or_file, "w")
-    try:
+    with _open(path_or_file, "w") as fh:
         fh.write(f"{p.n} {p.k}\n")
         for a in p.assign.tolist():
             fh.write(f"{a}\n")
-    finally:
-        if close:
-            fh.close()

@@ -103,19 +103,14 @@ def swap_bisection(g: Graph) -> tuple[Partition, SwapTrace]:
     return Partition.from_labels(side), trace
 
 
-def planted_partition(lg, balance: bool = False) -> Partition:
-    """Partition by planted block label.
-
-    With balance set, isolated vertices are greedily reassigned to equalize
-    part sizes (each isolated vertex, in ascending order, moves to the
-    currently smallest part); non-isolated vertices never move, so the
-    modularity score is identical either way.
+def planted_partition(lg) -> Partition:
+    """Partition by planted block label, balanced: isolated vertices are
+    greedily reassigned to equalize part sizes (each isolated vertex, in
+    ascending order, moves to the currently smallest part).  Non-isolated
+    vertices never move, so the modularity score is that of the labels.
     """
     labels = np.asarray(lg.labels, dtype=np.int64).copy()
-    if not balance:
-        return Partition.from_labels(labels)
-    g = lg.graph
-    isolated = np.flatnonzero(g.deg == 0)
+    isolated = np.flatnonzero(lg.graph.deg == 0)
     sizes = np.bincount(labels, minlength=lg.k).astype(np.int64)
     for vtx in isolated:
         sizes[labels[vtx]] -= 1

@@ -254,14 +254,14 @@ def exact_modularity_k(g: Graph, k: int, cap: int = ORACLE_CAP) -> Fraction:
     return Fraction(best_num, 4 * g.m * g.m)
 
 
-def resolution_limit_check(g: Graph, cap: int = ORACLE_CAP) -> bool:
+def resolution_limit_check(g: Graph) -> bool:
     """True iff every component with fewer than sqrt(2m) edges sits inside
     one part of every optimal partition.  This is the resolution-limit
     property of optimal partitions, so it always holds; the predicate
     exists as an oracle cross-check."""
     if g.m == 0:
         raise EmptyGraphError("resolution limit needs at least one edge")
-    result = exact_modularity(g, cap=cap)
+    result = exact_modularity(g)
     comps = connected_components(g)
     comp_edges = np.bincount(comps.assign[g.edge_u], minlength=comps.k)
     small = [np.flatnonzero(comps.assign == c)
@@ -275,7 +275,7 @@ def resolution_limit_check(g: Graph, cap: int = ORACLE_CAP) -> bool:
     return True
 
 
-def optimal_connectivity_check(g: Graph, cap: int = ORACLE_CAP) -> bool:
+def optimal_connectivity_check(g: Graph) -> bool:
     """True iff in every optimal partition each part induces a connected
     subgraph and has at least two vertices.  Both properties always hold
     for graphs without isolated vertices (splitting a disconnected part
@@ -285,7 +285,7 @@ def optimal_connectivity_check(g: Graph, cap: int = ORACLE_CAP) -> bool:
         raise EmptyGraphError("connectivity check needs at least one edge")
     if g.has_isolated_vertices():
         raise ValueError("connectivity structure claims need no isolated vertices")
-    result = exact_modularity(g, cap=cap)
+    result = exact_modularity(g)
     for part in result.optimal_partitions:
         for members in part.parts():
             if members.size < 2:
@@ -295,7 +295,7 @@ def optimal_connectivity_check(g: Graph, cap: int = ORACLE_CAP) -> bool:
     return True
 
 
-def robustness_check(g: Graph, g2: Graph, cap: int = ORACLE_CAP) -> RobustnessCheck:
+def robustness_check(g: Graph, g2: Graph) -> RobustnessCheck:
     """|q*(G) - q*(G')| < 2 |E \\ E'| / |E| (strict) for graphs on one vertex
     set with |E| >= |E'|.  Deleting edges E0 is the case E' = E \\ E0;
     rewiring with equal edge counts has |E symm-diff E'| = 2 |E \\ E'|."""
@@ -309,19 +309,19 @@ def robustness_check(g: Graph, g2: Graph, cap: int = ORACLE_CAP) -> RobustnessCh
     e2 = set(g2.edge_list())
     if e1 == e2:
         raise ValueError("graphs must differ")
-    delta = abs(exact_modularity(g, cap=cap).q_star - exact_modularity(g2, cap=cap).q_star)
+    delta = abs(exact_modularity(g).q_star - exact_modularity(g2).q_star)
     bound = Fraction(2 * len(e1 - e2), g.m)
     return RobustnessCheck(delta, bound, delta < bound)
 
 
-def solve_dual(c: float, tol: float = 1e-14) -> float:
+def solve_dual(c: float) -> float:
     """The root x in (0, 1) of x e^{-x} = c e^{-c} for c > 1, by bisection
     on the increasing branch; residual <= 1e-12."""
     if not c > 1.0:
         raise COutOfRangeError("dual root needs c > 1")
     target = c * math.exp(-c)
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if mid * math.exp(-mid) < target:
             lo = mid

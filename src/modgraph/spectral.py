@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 DENSE_CAP = 4000
+_GAP_MAX_ITER = 200_000
 
 
 class IsolatedVertexError(ValueError):
@@ -145,14 +146,15 @@ def _normalized_adjacency_operator(g: Graph):
     return mat.dot
 
 
-def extremal_gap(g: Graph, tol: float = 1e-6, max_iter: int = 100_000) -> GapEstimate:
+def extremal_gap(g: Graph, tol: float = 1e-6) -> GapEstimate:
     """Gap to additive accuracy ~tol by power iteration on the deflated
     operator B = D^{-1/2} A D^{-1/2} - v v^T, v = D^{1/2} 1 / sqrt(2m).
 
     Iterates x <- B^2 x; the Ritz value rho = ||Bx||^2 climbs to gap^2 and
     the residual ||B^2 x - rho x|| bounds the distance to a true
-    eigenvalue, giving the stopping rule r / (2 sqrt(rho)) <= tol.  The
-    start vector comes from substream(0, n, m), so the result depends on g alone.
+    eigenvalue, giving the stopping rule r / (2 sqrt(rho)) <= tol, or
+    unconverged after _GAP_MAX_ITER applications of B.  The start vector
+    comes from substream(0, n, m), so the result depends on g alone.
     """
     _check_spectral_pre(g)
     apply_m = _normalized_adjacency_operator(g)
@@ -175,7 +177,7 @@ def extremal_gap(g: Graph, tol: float = 1e-6, max_iter: int = 100_000) -> GapEst
     estimate = 0.0
     residual = np.inf
     iterations = 0
-    while iterations < max_iter:
+    while iterations < _GAP_MAX_ITER:
         y = apply_b(x)
         z = apply_b(y)
         iterations += 2
@@ -210,24 +212,23 @@ def _subset_stats_exhaustive(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return cut, vol
 
 
-def discrepancy_audit(g: Graph, samples: int = 2000, seed: int = 0,
-                      exhaustive_limit: int = 20, cap: int = DENSE_CAP) -> float:
+def discrepancy_audit(g: Graph) -> float:
     """Minimum slack of e(S,~S) - (1-gap) vol(S) vol(~S) / vol(G) over
-    audited subsets: exhaustive for n <= exhaustive_limit, else `samples`
-    random subsets.  The discrepancy inequality makes the result >= 0, so
-    an audit should never report materially negative slack.
+    audited subsets: all of them for n <= 20, else 2000 random subsets
+    drawn from substream(0).  The discrepancy inequality makes the result
+    >= 0, so an audit should never report materially negative slack.
     """
-    summary = spectral_summary(g, cap=cap)
+    summary = spectral_summary(g)
     lam = summary.gap
     vol_g = 2.0 * g.m
     coeff = (1.0 - lam) / vol_g
-    if g.n <= exhaustive_limit:
+    if g.n <= 20:
         cut, vol = _subset_stats_exhaustive(g)
         slack = cut - coeff * vol * (2 * g.m - vol)
         return float(slack.min())
-    rng = substream(seed)
+    rng = substream(0)
     worst = 0.0  # S empty has slack exactly 0
-    for _ in range(samples):
+    for _ in range(2000):
         member = rng.random(g.n) < 0.5
         vol_s = float(g.deg[member].sum())
         cut_s = float(np.count_nonzero(member[g.edge_u] != member[g.edge_v]))
@@ -236,15 +237,14 @@ def discrepancy_audit(g: Graph, samples: int = 2000, seed: int = 0,
     return worst
 
 
-def prune(g: Graph, p_model: float, degree_factor: float = 0.5,
-          neighbor_cap: int = 100) -> PruneResult:
+def prune(g: Graph, p_model: float) -> PruneResult:
     """Two-stage vertex deletion from the spectral-upper-bound pipeline:
-    first drop every vertex of degree < degree_factor * (n-1) * p_model,
-    then repeatedly drop the lowest-index kept vertex with at least
-    neighbor_cap deleted neighbours, to a fixed point."""
+    first drop every vertex of degree < (n-1) * p_model / 2, then
+    repeatedly drop the lowest-index kept vertex with at least 100
+    deleted neighbours, to a fixed point."""
     if not (0.0 < p_model <= 1.0):
         raise ValueError("p_model must lie in (0, 1]")
-    threshold = degree_factor * (g.n - 1) * p_model
+    threshold = 0.5 * (g.n - 1) * p_model
     kept = g.deg >= threshold
     indptr, nbrs = g.adjacency()
     removed_nbrs = np.zeros(g.n, dtype=np.int64)
@@ -252,7 +252,7 @@ def prune(g: Graph, p_model: float, degree_factor: float = 0.5,
         removed_nbrs[nbrs[indptr[vtx]:indptr[vtx + 1]]] += 1
     rounds = 0
     while True:
-        over = np.flatnonzero(kept & (removed_nbrs >= neighbor_cap))
+        over = np.flatnonzero(kept & (removed_nbrs >= 100))
         if over.size == 0:
             break
         vtx = int(over[0])
@@ -265,10 +265,8 @@ def prune(g: Graph, p_model: float, degree_factor: float = 0.5,
                        rounds=rounds)
 
 
-def spectral_upper_witness(g: Graph, p_model: float, *,
-                           degree_factor: float = 0.5, neighbor_cap: int = 100,
-                           method: str = "auto", tol: float = 1e-3,
-                           max_iter: int = 100_000, cap: int = DENSE_CAP) -> UpperWitness:
+def spectral_upper_witness(g: Graph, p_model: float, *, method: str = "auto",
+                           tol: float = 1e-3) -> UpperWitness:
     """Upper bound on q*(G): prune, keep the heaviest connected component H'
     of the core (edges of everything else count as deleted), then
     gap(H') + 2 |deleted| / m.
@@ -276,11 +274,11 @@ def spectral_upper_witness(g: Graph, p_model: float, *,
     Valid by the robustness bound for edge deletion plus the partition
     bound gap(H') >= q*(H'); restricting to one component keeps the gap
     informative when the pruned core falls apart.  method="dense" raises
-    TooLargeError when H' has more than `cap` vertices.
+    TooLargeError when H' has more than DENSE_CAP vertices.
     """
     if g.m == 0:
         raise EmptyGraphError("upper witness needs at least one edge")
-    pruned = prune(g, p_model, degree_factor=degree_factor, neighbor_cap=neighbor_cap)
+    pruned = prune(g, p_model)
     core = induced_subgraph(g, pruned.kept)
     if core.m == 0:
         return UpperWitness(lambda_bar=0.0, removed_edges=g.m, removed_fraction=1.0,
@@ -290,11 +288,11 @@ def spectral_upper_witness(g: Graph, p_model: float, *,
     heavy = int(np.argmax(edge_counts))
     sub = induced_subgraph(core, np.flatnonzero(comps.assign == heavy))
     removed = g.m - sub.m
-    if method == "dense" or (method == "auto" and sub.n <= cap):
-        lam = spectral_summary(sub, cap=cap).gap
+    if method == "dense" or (method == "auto" and sub.n <= DENSE_CAP):
+        lam = spectral_summary(sub).gap
         converged = True
     else:
-        est = extremal_gap(sub, tol=tol, max_iter=max_iter)
+        est = extremal_gap(sub, tol=tol)
         lam = est.value
         converged = est.converged
     return UpperWitness(lambda_bar=float(lam), removed_edges=removed,

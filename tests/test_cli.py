@@ -37,6 +37,29 @@ class TestOracleCommand:
         assert "q_<=k = 0" in capsys.readouterr().out
 
 
+class TestInputErrors:
+    # each exits 2 with one "error:" line on stderr and no traceback
+    def _fails(self, argv, capsys, *words):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for word in words:
+            assert word in err
+
+    def test_malformed_edge_list(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("3 1\n0 1\n0 2\n")
+        self._fails(["oracle", str(path)], capsys, "line 3")
+
+    def test_rejected_generator_parameters(self, capsys):
+        self._fails(["generate", "--model", "gnm", "--n", "4", "--m", "9"], capsys)
+
+    def test_spectral_on_isolated_vertex(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("3 1\n0 1\n")
+        self._fails(["spectral", str(path)], capsys, "isolated")
+
+
 class TestScoreCommand:
     def test_breakdown(self, p4_file, tmp_path, capsys):
         part = tmp_path / "part.txt"
@@ -122,9 +145,10 @@ class TestExperimentCommands:
         assert main(["sparse", "--config", cfg]) == 1
         assert "[FAIL] min_qcc" in capsys.readouterr().out
 
-    def test_wrong_subcommand_for_config(self, tmp_path):
+    def test_wrong_subcommand_for_config(self, tmp_path, capsys):
         cfg = self._config(tmp_path, {})
         assert main(["growth-rate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: config is for 'sparse'")
 
     def test_seed_override_changes_records(self, tmp_path):
         cfg = self._config(tmp_path, {})

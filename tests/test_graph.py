@@ -2,12 +2,13 @@
 and the two text formats."""
 
 import io
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgraph.graph import (EdgeListFormatError, EmptyGraphError, Graph,
@@ -343,7 +344,78 @@ class TestSubgraphs:
         assert sub.n == 2 and sub.edge_list() == [(0, 1)]
 
 
+def _reference_edgelist(text):
+    """Per-line reference reader: (None, n, edges) for a valid edge list,
+    else (line, first-seen line or None, None) of the first faulty line."""
+    fh = io.StringIO(text)
+    try:
+        n, m = (int(f) for f in fh.readline().split())
+    except ValueError:
+        return 1, None, None
+    if n < 0 or m < 0:
+        return 1, None, None
+    seen = {}
+    for line_no in range(2, m + 2):
+        try:
+            u, v = (int(f) for f in fh.readline().split())
+        except ValueError:
+            return line_no, None, None
+        if not 0 <= u < v < n:
+            return line_no, None, None
+        if (u, v) in seen:
+            return line_no, seen[(u, v)], None
+        seen[(u, v)] = line_no
+    for line_no, line in enumerate(fh, start=m + 2):
+        if line.strip():
+            return line_no, None, None
+    return None, n, sorted(seen)
+
+
+# Lines from a small pool of valid edges (so that repeats are common), any
+# pair of small integers, and malformed lines, including endpoints that wrap
+# into range when cast to int32 or do not fit int64.  The header's m lies
+# within one of the line count.
+_EDGE_LINES = st.one_of(
+    st.sampled_from(["0 1", "0 2", "1 2", "1 3", "2 3"]),
+    st.tuples(st.integers(-1, 5), st.integers(-1, 5)).map("{0[0]} {0[1]}".format),
+    st.sampled_from(["", "1", "0 1 2", "x 1", "1 1.5", "0 4294967297",
+                     "0 99999999999999999999"]))
+_EDGE_TEXTS = st.lists(_EDGE_LINES, max_size=10).flatmap(lambda lines: st.builds(
+    lambda head, end: "\n".join([head, *lines]) + end,
+    st.one_of(st.tuples(st.integers(0, 6),
+                        st.integers(max(len(lines) - 1, 0), len(lines) + 1))
+              .map("{0[0]} {0[1]}".format),
+              st.sampled_from(["3", "a b", "-1 2", "3 1 1", ""])),
+    st.sampled_from(["", "\n", "\n\n \n"])))
+
+
 class TestEdgeListFormat:
+    @given(st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11))
+                   .filter(lambda e: e[0] < e[1]), max_size=30),
+           st.integers(0, 3))
+    def test_write_read_roundtrip(self, edges, isolated):
+        n = max((v for _, v in edges), default=-1) + 1 + isolated
+        g = Graph(n, sorted(edges))
+        buf = io.StringIO()
+        write_edgelist(g, buf)
+        assert read_edgelist(io.StringIO(buf.getvalue())) == g
+
+    @settings(max_examples=400)
+    @given(_EDGE_TEXTS)
+    def test_faults_match_per_line_reference(self, text):
+        # the first faulty line in file order, and for a duplicate the line
+        # that first held the edge, as a per-line reader finds them
+        line, first_seen, edges = _reference_edgelist(text)
+        if line is None:
+            g = read_edgelist(io.StringIO(text))
+            assert (g.n, g.edge_list()) == (first_seen, edges)
+            return
+        with pytest.raises(EdgeListFormatError) as err:
+            read_edgelist(io.StringIO(text))
+        seen = re.search(r"first seen on line (\d+)$", str(err.value))
+        assert err.value.line == line
+        assert (int(seen.group(1)) if seen else None) == first_seen
+
     def test_roundtrip(self):
         for i in range(20):
             g = random_graph_sized(make_rng(8, i), 2, 12, min_edges=0)
@@ -388,6 +460,13 @@ class TestEdgeListFormat:
 
 
 class TestPartitionFormat:
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=20))
+    def test_write_read_roundtrip(self, labels):
+        p = Partition.from_labels(labels)
+        buf = io.StringIO()
+        write_partition(p, buf)
+        assert read_partition(io.StringIO(buf.getvalue())) == p
+
     def test_roundtrip(self):
         p = Partition([0, 1, 0, 2])
         buf = io.StringIO()
@@ -407,6 +486,9 @@ class TestPartitionFormat:
         ("3 2\n0\n1 1\n1\n", 3),  # two tokens on an id line
         ("2 2\n0\n1\n1\n", 4),    # an id line after the n-th
         ("2 1\n0\n-1\n", 3),      # negative id
+        ("3 2\n0\n2\n2\n", 3),    # an id outside 0..k-1
+        ("3 3\n0\n2\n2\n", 1),    # a k that leaves part 1 empty
+        ("0 0\n", 1),            # no vertices
     ])
     def test_malformed_lines_raise_typed_error(self, text, line):
         with pytest.raises(EdgeListFormatError, match=f"^line {line}: ") as err:

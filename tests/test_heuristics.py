@@ -239,18 +239,18 @@ class TestSwapBisection:
 class TestPlantedPartition:
     def test_label_classes(self):
         lg = gen_planted(40, 5.0, 1.0, 3, 21)
-        part = planted_partition(lg, balance=False)
+        part = planted_partition(lg)
         remap = {}
-        for vtx, lab in enumerate(lg.labels.tolist()):
+        for vtx in np.flatnonzero(lg.graph.deg > 0).tolist():
             cid = int(part.assign[vtx])
-            assert remap.setdefault(lab, cid) == cid
+            assert remap.setdefault(int(lg.labels[vtx]), cid) == cid
 
     def test_balance_example(self):
         # two classes sized (6, 4); two isolated vertices sit in the big one
         g = Graph(10, [(0, 1), (2, 3), (6, 7), (8, 9)])
         lg = type("LG", (), {"graph": g,
                              "labels": np.array([0] * 6 + [1] * 4), "k": 2})
-        part = planted_partition(lg, balance=True)
+        part = planted_partition(lg)
         assert sorted(part.part_sizes().tolist()) == [5, 5]
 
     def test_score_independent_of_balance(self):
@@ -258,8 +258,8 @@ class TestPlantedPartition:
             lg = gen_planted(80, 3.0, 0.5, 2, substream(819, i))
             if lg.graph.m == 0:
                 continue
-            q0 = modularity_exact(lg.graph, planted_partition(lg, False))
-            q1 = modularity_exact(lg.graph, planted_partition(lg, True))
+            q0 = modularity_exact(lg.graph, Partition.from_labels(lg.labels))
+            q1 = modularity_exact(lg.graph, planted_partition(lg))
             assert q0 == q1
 
     def test_planted_two_block_score(self):
@@ -268,8 +268,7 @@ class TestPlantedPartition:
         scores = []
         for i in range(seeds):
             lg = gen_planted(n, 6.0, 2.0, 2, substream(823, i))
-            scores.append(modularity_score(
-                lg.graph, planted_partition(lg, balance=True)).score)
+            scores.append(modularity_score(lg.graph, planted_partition(lg)).score)
         assert abs(np.mean(scores) - 0.25) <= 0.01
 
     def test_alpha_eq_beta_scores_near_zero(self):
@@ -277,8 +276,7 @@ class TestPlantedPartition:
         scores = []
         for i in range(8):
             lg = gen_planted(n, 8.0, 8.0, 2, substream(827, i))
-            scores.append(modularity_score(
-                lg.graph, planted_partition(lg, balance=True)).score)
+            scores.append(modularity_score(lg.graph, planted_partition(lg)).score)
         # no planted signal: mean is 0 up to O(1/sqrt(n m)) noise
         assert abs(np.mean(scores)) <= 3 * (np.std(scores) + 1e-4)
 
