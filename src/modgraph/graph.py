@@ -94,7 +94,8 @@ class Graph:
 
     Edges are stored as two sorted arrays (edge_u[i] < edge_v[i], pairs in
     lexicographic order) plus per-vertex degrees derived from them; the
-    adjacency CSR is built lazily.  This layout keeps scoring cache-friendly
+    adjacency CSR, each vertex's neighbours in ascending order, is built
+    lazily and without a sort.  This layout keeps scoring cache-friendly
     up to n ~ 1e6.
     """
 
@@ -129,6 +130,12 @@ class Graph:
         if u.shape != v.shape:
             raise ValueError("edge endpoint arrays differ in length")
         dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        if u.size:
+            # before the cast, which would wrap a larger value; trusted pairs have u < v
+            lo = int(u.min()) if trusted else min(int(u.min()), int(v.min()))
+            hi = int(v.max()) if trusted else max(int(u.max()), int(v.max()))
+            if lo < 0 or hi >= n:
+                raise ValueError("edge endpoint out of range")
         if trusted:
             u = np.asarray(u, dtype=dtype)
             v = np.asarray(v, dtype=dtype)
@@ -136,8 +143,6 @@ class Graph:
             u = u.astype(dtype, copy=True)
             v = v.astype(dtype, copy=True)
         if u.size:
-            if int(u.min()) < 0 or int(v.max()) >= n:
-                raise ValueError("edge endpoint out of range")
             for blk in _blocks(u.size):
                 if np.any(u[blk] >= v[blk]):
                     bad = blk.start + int(np.flatnonzero(u[blk] >= v[blk])[0])
@@ -184,14 +189,9 @@ class Graph:
 
     @cached_property
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        # CSR over both edge directions; derived value, benign if two
-        # threads race to fill the cache.
-        srcs = np.concatenate([self.edge_u, self.edge_v])
-        tgts = np.concatenate([self.edge_v, self.edge_u])
-        order = np.argsort(srcs, kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.deg, out=indptr[1:])
-        return indptr, tgts[order]
+        # derived value, benign if two threads race to fill the cache
+        mat = _symmetric_csr(self, np.ones(self.m, dtype=np.int8))
+        return mat.indptr, mat.indices
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, neighbors) CSR covering both directions of each edge."""
@@ -215,6 +215,20 @@ class Graph:
 
     def __hash__(self):
         return hash((self.n, self.m, self.edge_u.tobytes(), self.edge_v.tobytes()))
+
+
+def _symmetric_csr(g: Graph, data: np.ndarray):
+    """scipy CSR with data[i] at (edge_u[i], edge_v[i]) and at its mirror,
+    column indices sorted, without a sort: the sorted edge arrays are the
+    upper triangle's CSR, and an O(m) transpose adds the lower one."""
+    from scipy.sparse import csr_matrix
+
+    if g.m >= 2 * g.n:  # the crossover of Graph's degree count
+        indptr = np.searchsorted(g.edge_u, np.arange(g.n + 1, dtype=g.edge_u.dtype))
+    else:
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(g.edge_u, minlength=g.n))))
+    upper = csr_matrix((data, g.edge_v, indptr), shape=(g.n, g.n))
+    return upper + upper.T
 
 
 class Partition:
@@ -361,10 +375,12 @@ def connected_components(g: Graph) -> Partition:
 
 def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
     """Induced subgraph on the given vertices, re-indexed in ascending order
-    of the original labels."""
+    of the original labels; the whole vertex set returns g itself."""
     keep = np.unique(np.asarray(vertices, dtype=np.int64))
     if keep.size and (keep[0] < 0 or keep[-1] >= g.n):
         raise ValueError("vertex out of range")
+    if keep.size == g.n:
+        return g
     mask = np.zeros(g.n, dtype=bool)
     mask[keep] = True
     sel = mask[g.edge_u] & mask[g.edge_v]
@@ -429,9 +445,7 @@ def read_edgelist(path_or_file) -> Graph:
     "u v" with 0 <= u < v < n, no edge twice.  The first faulty line in
     file order is reported as an EdgeListFormatError with its number."""
     (n, _), edges, err = _read_records(path_or_file, "n m", 1, 2, "integers 'u v'", "edges")
-    # Graph keeps endpoints as int32 when n allows, and that cast would wrap
-    # a larger value into range; clipping to [-1, n] keeps every fault a fault
-    u, v = np.clip(edges, -1, n).T
+    u, v = edges.T
 
     def fault(lo: int, hi: int) -> tuple[ValueError | None, Graph | None]:
         try:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import substream
-from .graph import EmptyGraphError, Graph, connected_components, induced_subgraph
+from .graph import (EmptyGraphError, Graph, _symmetric_csr, connected_components,
+                    induced_subgraph)
 
 __all__ = [
     "DENSE_CAP",
@@ -134,16 +135,8 @@ def spectral_summary(g: Graph, cap: int = DENSE_CAP) -> SpectralSummary:
 def _normalized_adjacency_operator(g: Graph):
     """Returns apply(x) computing D^{-1/2} A D^{-1/2} x via one sparse
     matvec (edge weights prescaled to 1/sqrt(d_u d_v))."""
-    from scipy.sparse import csr_matrix
-
     inv_sqrt = 1.0 / np.sqrt(g.deg.astype(np.float64))
-    w = inv_sqrt[g.edge_u] * inv_sqrt[g.edge_v]
-    mat = csr_matrix(
-        (np.concatenate([w, w]),
-         (np.concatenate([g.edge_u, g.edge_v]),
-          np.concatenate([g.edge_v, g.edge_u]))),
-        shape=(g.n, g.n))
-    return mat.dot
+    return _symmetric_csr(g, inv_sqrt[g.edge_u] * inv_sqrt[g.edge_v]).dot
 
 
 def extremal_gap(g: Graph, tol: float = 1e-6) -> GapEstimate:
@@ -241,11 +234,14 @@ def prune(g: Graph, p_model: float) -> PruneResult:
     """Two-stage vertex deletion from the spectral-upper-bound pipeline:
     first drop every vertex of degree < (n-1) * p_model / 2, then
     repeatedly drop the lowest-index kept vertex with at least 100
-    deleted neighbours, to a fixed point."""
+    deleted neighbours, to a fixed point.  No adjacency is built when no
+    vertex falls below the threshold."""
     if not (0.0 < p_model <= 1.0):
         raise ValueError("p_model must lie in (0, 1]")
     threshold = 0.5 * (g.n - 1) * p_model
     kept = g.deg >= threshold
+    if kept.all():
+        return PruneResult(kept=np.arange(g.n), removed_edges=0, rounds=0)
     indptr, nbrs = g.adjacency()
     removed_nbrs = np.zeros(g.n, dtype=np.int64)
     for vtx in np.flatnonzero(~kept):

@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from modgraph.graph import (EdgeListFormatError, EmptyGraphError, Graph,
-                            InvalidPartitionError, Partition,
+                            InvalidPartitionError, Partition, _symmetric_csr,
                             connected_components, induced_subgraph,
                             modularity_exact, modularity_score, read_edgelist,
                             read_partition, strip_isolated, write_edgelist,
@@ -83,10 +84,43 @@ class TestGraphConstruction:
         g = Graph(3, [])
         assert g.m == 0 and g.deg.tolist() == [0, 0, 0]
 
+    def test_rejects_endpoint_that_wraps_int32(self):
+        # 4294967297 = 2^32 + 1 would become 1 in the int32 edge arrays
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            Graph(3, [(0, 4294967297)])
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            Graph.from_arrays(3, np.array([0]), np.array([4294967297]))
+
     def test_neighbors(self):
         indptr, nbrs = path(4).adjacency()
-        assert sorted(nbrs[indptr[1]:indptr[2]].tolist()) == [0, 2]
-        assert sorted(nbrs[indptr[0]:indptr[1]].tolist()) == [1]
+        assert nbrs[indptr[1]:indptr[2]].tolist() == [0, 2]
+        assert nbrs[indptr[0]:indptr[1]].tolist() == [1]
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        st.integers(0, 2**32 - 1))))
+    @example((6, [True] + [False] * 14, 0))  # isolated vertices, m < 2n
+    @example((6, [True] * 15, 0))            # complete, m >= 2n
+    def test_symmetric_csr_matches_coo_build(self, case):
+        # the sort-free CSR is bit for bit the one scipy builds from both
+        # edge directions as coordinates, whichever way its row pointer is
+        # counted; the adjacency is its pattern
+        n, chosen, seed = case
+        pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)],
+                         dtype=np.int64).reshape(-1, 2)[np.array(chosen, dtype=bool)]
+        g = Graph(n, pairs)
+        data = np.random.default_rng(seed).random(g.m)
+        got = _symmetric_csr(g, data)
+        want = csr_matrix((np.concatenate([data, data]),
+                           (np.concatenate([g.edge_u, g.edge_v]),
+                            np.concatenate([g.edge_v, g.edge_u]))), shape=(n, n))
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        indptr, nbrs = g.adjacency()
+        assert indptr.tolist() == want.indptr.tolist()
+        assert nbrs.tolist() == want.indices.tolist()
 
     @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
         st.just(n),
@@ -336,6 +370,10 @@ class TestSubgraphs:
         g = cycle(5)
         sub = induced_subgraph(g, [0, 1, 2])
         assert sub.n == 3 and sub.edge_list() == [(0, 1), (1, 2)]
+
+    def test_whole_vertex_set_shares_graph(self):
+        g = cycle(5)
+        assert induced_subgraph(g, np.arange(g.n)) is g
 
     def test_strip_isolated(self):
         g = Graph(5, [(1, 3)])

@@ -124,6 +124,14 @@ class TestExtremalGap:
         assert 0.0 <= est.value <= 1.0 + 1e-8
         assert est.residual > 0.0
 
+    def test_pinned_on_gnp(self):
+        # recorded from the COO-built operator: the sort-free CSR sums every
+        # row in the same column order, so the iteration is bit for bit the same
+        g = gen_gnp(5000, 0.02, substream(20250811, 0, 0))
+        est = extremal_gap(g, tol=1e-3)
+        assert (est.value, est.iterations, est.residual) == (
+            0.19588237036535283, 106, 0.00038562075579059074)
+
     @pytest.mark.slow
     def test_gnp_gap_below_half(self):
         # 5 / sqrt(np) = 0.5 bound at n=2000, np=100, >= 95/100 seeds
@@ -200,8 +208,18 @@ class TestDiscrepancyAudit:
 
 class TestPrune:
     def test_regular_graph_untouched(self):
-        pr = prune(cycle(8), p_model=0.5)
-        assert pr.kept.size == 8 and pr.removed_edges == 0 and pr.rounds == 0
+        # every vertex meets the threshold: no adjacency is built
+        g = cycle(8)
+        pr = prune(g, p_model=0.5)
+        assert (pr.kept.tolist(), pr.removed_edges, pr.rounds) == (list(range(8)), 0, 0)
+        assert pr.kept.dtype == np.flatnonzero([True]).dtype
+        assert "_adjacency" not in g.__dict__
+
+    def test_one_vertex_below_threshold(self):
+        # a pendant vertex 8 on a cycle: threshold 2 drops it alone
+        g = Graph(9, [(i, (i + 1) % 8) for i in range(8)] + [(3, 8)])
+        pr = prune(g, p_model=0.5)
+        assert (pr.kept.tolist(), pr.removed_edges, pr.rounds) == (list(range(8)), 1, 0)
 
     def test_star_leaves_dropped(self):
         star = Graph(6, [(0, i) for i in range(1, 6)])
