@@ -223,10 +223,7 @@ def _symmetric_csr(g: Graph, data: np.ndarray):
     upper triangle's CSR, and an O(m) transpose adds the lower one."""
     from scipy.sparse import csr_matrix
 
-    if g.m >= 2 * g.n:  # the crossover of Graph's degree count
-        indptr = np.searchsorted(g.edge_u, np.arange(g.n + 1, dtype=g.edge_u.dtype))
-    else:
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(g.edge_u, minlength=g.n))))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(g.edge_u, minlength=g.n))))
     upper = csr_matrix((data, g.edge_v, indptr), shape=(g.n, g.n))
     return upper + upper.T
 

@@ -100,12 +100,11 @@ class TestGraphConstruction:
         st.just(n),
         st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
         st.integers(0, 2**32 - 1))))
-    @example((6, [True] + [False] * 14, 0))  # isolated vertices, m < 2n
-    @example((6, [True] * 15, 0))            # complete, m >= 2n
+    @example((6, [True] + [False] * 14, 0))  # isolated vertices
+    @example((6, [True] * 15, 0))            # complete
     def test_symmetric_csr_matches_coo_build(self, case):
         # the sort-free CSR is bit for bit the one scipy builds from both
-        # edge directions as coordinates, whichever way its row pointer is
-        # counted; the adjacency is its pattern
+        # edge directions as coordinates; the adjacency is its pattern
         n, chosen, seed = case
         pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)],
                          dtype=np.int64).reshape(-1, 2)[np.array(chosen, dtype=bool)]
