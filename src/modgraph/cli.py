@@ -20,6 +20,7 @@ unreadable path) prints one "error: ..." line and exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -50,7 +51,7 @@ def _cmd_experiment(args) -> int:
         raise ValueError(f"config is for {cfg.experiment!r}, subcommand is "
                          f"{args.experiment!r}")
     if args.seed is not None:
-        cfg.base_seed = args.seed
+        cfg = dataclasses.replace(cfg, base_seed=args.seed)
     result = run_experiment(cfg, threads=args.threads)
     out_path = args.out or cfg.output
     if out_path:

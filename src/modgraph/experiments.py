@@ -24,11 +24,8 @@ import multiprocessing
 import os
 import time
 import traceback
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -37,7 +34,7 @@ from .graph import connected_components, modularity_score
 from .generators import gen_gnm, gen_gnp, gen_planted, substream
 from .heuristics import f_k, planted_partition, swap_bisection
 from .oracle import ORACLE_CAP, exact_modularity, solve_dual
-from .spectral import TooLargeError, spectral_upper_witness
+from .spectral import WITNESS_METHODS, TooLargeError, spectral_upper_witness
 
 __all__ = [
     "ExperimentConfig",
@@ -67,10 +64,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def wilson_upper(successes: int, trials: int, z: float = 3.0) -> float:
-    """Upper end of the Wilson score interval for a binomial proportion."""
+def wilson_upper(successes: int, trials: int) -> float:
+    """Upper end of the Wilson score interval for a binomial proportion, at
+    three standard errors."""
     if trials == 0:
         return 1.0
+    z = 3.0
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -104,13 +103,15 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {sorted(EXPERIMENTS)}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        for key, least in (("replicates", 1), ("base_seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
+            if value < least:
+                raise ValueError(f"{key} must be >= {least}")
         exp = EXPERIMENTS[self.experiment]
-        keys = exp.grid_keys(self.grid)
-        forms = " or ".join(f"({', '.join(form)})" for form in exp.grids)
         for section, given, allowed, shown in (
-                ("grid", self.grid, keys, forms),
+                ("grid", self.grid, exp.grid, f"({', '.join(exp.grid)})"),
                 ("options", self.options, exp.option_defaults, None),
                 ("assertions", self.assertions, exp.assertion_keys(), None)):
             unknown = [key for key in given if key not in allowed]
@@ -118,7 +119,7 @@ class ExperimentConfig:
                 raise ValueError(f"{self.experiment} does not accept {section} key "
                                  f"{unknown[0]!r}; accepted: "
                                  f"{shown or ', '.join(allowed) or 'none'}")
-        for key in keys:
+        for key in exp.grid:
             values = self.grid.get(key)
             if not isinstance(values, list) or not values:
                 raise ValueError(f"grid[{key!r}] must be a non-empty list")
@@ -142,9 +143,8 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def points(self) -> list[dict]:
-        keys = EXPERIMENTS[self.experiment].grid_keys(self.grid)
         pts = [{}]
-        for key in keys:
+        for key in EXPERIMENTS[self.experiment].grid:
             pts = [dict(p, **{key: val}) for p in pts for val in self.grid[key]]
         return pts
 
@@ -248,13 +248,11 @@ def _run_tasks(cfg: ExperimentConfig, threads: int) -> list[dict]:
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run every task, then the experiment's summary and checks.  The CSV
-    columns are the task record's keys in order, less the bookkeeping
-    ones."""
+    columns are the task record's keys in order, less its wall time."""
     exp = EXPERIMENTS[cfg.experiment]
     records = _run_tasks(cfg, threads)
-    records.sort(key=lambda r: (r["_point"], r["seed"]))
     summary, checks = exp.summarize(cfg, records)
-    columns = [key for key in records[0] if key not in ("_point", "walltime_ms")]
+    columns = [key for key in records[0] if key != "walltime_ms"]
     return ExperimentResult(cfg.experiment, columns, records, summary, checks)
 
 
@@ -364,21 +362,16 @@ def share(name: str, test, need=lambda cfg: 1.0, **kw) -> Check:
 
 
 class _Experiment:
-    """One experiment: its accepted grid keys (one tuple per accepted form),
-    its options with their defaults, the grid keys whose values must be
-    positive, the per-task record, and the declared summary and checks."""
+    """One experiment: its grid keys, its options with their defaults, the
+    grid keys whose values must be positive, the per-task record, and the
+    declared summary and checks."""
 
     name: str = ""
-    grids: tuple[tuple[str, ...], ...] = ()
+    grid: tuple[str, ...] = ()
     option_defaults: dict = {}
     positive: tuple[str, ...] = ()
     summary: dict = {}
     checks: tuple[Check, ...] = ()
-
-    def grid_keys(self, grid: dict) -> tuple[str, ...]:
-        """The accepted form `grid` uses: the first whose keys it all has."""
-        return next((form for form in self.grids if set(form) <= set(grid)),
-                    self.grids[0])
 
     def assertion_keys(self) -> list[str]:
         return [key for check in self.checks if check.when is None
@@ -393,9 +386,9 @@ class _Experiment:
 
     def summarize(self, cfg: ExperimentConfig,
                   records: list[dict]) -> tuple[dict, list[CheckOutcome]]:
-        points = cfg.points()
-        groups = [(points[pi], list(recs))
-                  for pi, recs in groupby(records, key=itemgetter("_point"))]
+        reps = cfg.replicates
+        groups = [(point, records[pi * reps:(pi + 1) * reps])
+                  for pi, point in enumerate(cfg.points())]
         summary = {key: build(groups, cfg) for key, build in self.summary.items()}
         checks = [check.run(groups, summary, cfg)
                   for check in self.checks if check.active(cfg)]
@@ -420,7 +413,7 @@ class GrowthRate(_Experiment):
     upper witness."""
 
     name = "growth-rate"
-    grids = (("n", "np"),)
+    grid = ("n", "np")
     option_defaults = {"upper_witness": False, "solver": "extremal", "tol": 1e-3}
     positive = ("np",)
     summary = {"medians": _rows(("n", "np"), median_q_swap=_median_q_swap),
@@ -443,6 +436,9 @@ class GrowthRate(_Experiment):
     def validate(self, cfg):
         if "witness_bound" in cfg.assertions and not cfg.options["upper_witness"]:
             raise ValueError("witness_bound assertion needs options.upper_witness")
+        if cfg.options["solver"] not in WITNESS_METHODS:
+            raise ValueError(f"solver must be one of {', '.join(WITNESS_METHODS)}, "
+                             f"not {cfg.options['solver']!r}")
 
     def task(self, options, base_seed, point_index, point, replicate):
         n, npv = int(point["n"]), float(point["np"])
@@ -450,7 +446,7 @@ class GrowthRate(_Experiment):
         g = gen_gnp(n, p, substream(base_seed, point_index, replicate))
         part, trace = swap_bisection(g)
         q = modularity_score(g, part).score
-        rec = {"_point": point_index, "n": n, "np": npv, "p": p,
+        rec = {"n": n, "np": npv, "p": p,
                "seed": replicate, "m": g.m, "q_swap": q,
                "t_star": trace.t_star,
                "swap_count": int(np.count_nonzero(trace.swaps))}
@@ -471,8 +467,8 @@ class SparsePhase(_Experiment):
     with its 1/(m(1-d)) companion prediction."""
 
     name = "sparse"
-    grids = (("n", "np"), ("n", "m"))
-    positive = ("np", "m")
+    grid = ("n", "np")
+    positive = ("np",)
     summary = {"min_q_cc": _of(min, "q_cc"), "mean_deficit": _of(np.mean, "deficit")}
     checks = (
         share("min_qcc",
@@ -486,15 +482,9 @@ class SparsePhase(_Experiment):
     )
 
     def task(self, options, base_seed, point_index, point, replicate):
-        n = int(point["n"])
-        seed = substream(base_seed, point_index, replicate)
-        if "m" in point:
-            g = gen_gnm(n, int(point["m"]), seed)
-            head = {"m_target": int(point["m"])}
-        else:
-            g = gen_gnp(n, float(point["np"]) / n, seed)
-            head = {"np": float(point["np"])}
-        rec = {"_point": point_index, "n": n, **head, "seed": replicate, "m": g.m}
+        n, npv = int(point["n"]), float(point["np"])
+        g = gen_gnp(n, npv / n, substream(base_seed, point_index, replicate))
+        rec = {"n": n, "np": npv, "seed": replicate, "m": g.m}
         if g.m == 0:
             rec.update({"q_cc": None, "deficit": None, "deficit_prediction": None,
                         "d": 0.0, "is_matching": False, "q_matching_theory": None,
@@ -526,7 +516,7 @@ class ThresholdWindow(_Experiment):
     dual-root prediction 1 - (1 - x^2/c^2)^2."""
 
     name = "threshold-window"
-    grids = (("n", "eps"),)
+    grid = ("n", "eps")
     summary = {"in_window_fraction": lambda groups, cfg: {
         _where(point): _of(np.mean, "in_window")([(point, recs)], cfg)
         for point, recs in groups}}
@@ -553,7 +543,7 @@ class ThresholdWindow(_Experiment):
         c = 1.0 + eps
         x = solve_dual(c)
         eq21 = 1.0 - (1.0 - x * x / (c * c)) ** 2
-        return {"_point": point_index, "n": n, "eps": eps, "p": p,
+        return {"n": n, "eps": eps, "p": p,
                 "seed": replicate, "m": g.m, "q_cc": q_cc,
                 "lower_bound": lo, "upper_bound": hi,
                 "in_window": bool(lo < q_cc < hi),
@@ -572,56 +562,50 @@ class Planted(_Experiment):
     """Score of the balanced planted partition on the k-block model with
     rates derived from (c, k): k=2 uses alpha = c + sqrt(c),
     beta = c - sqrt(c); k>=3 uses alpha = c + x sqrt(c),
-    beta = c - x sqrt(c)/(k-1) with x just below sqrt(2(k-1)ln(k-1))."""
+    beta = c - x sqrt(c)/(k-1) with x = 0.999 sqrt(2(k-1)ln(k-1)), just
+    below the contiguity bound."""
 
     name = "planted"
-    grids = (("n", "c", "k"),)
-    option_defaults = {"x_factor": 0.999}
+    grid = ("n", "c", "k")
     summary = {"means": _rows(("c", "k"), mean_score=_of(np.mean, "score"))}
     checks = (Check("mean_tolerance", _of(np.mean, "score"), _planted_limits),)
 
     @staticmethod
-    def rates(c: float, k: int, x_factor: float) -> tuple[float, float, float]:
+    def rates(c: float, k: int) -> tuple[float, float]:
         if k == 2:
-            x = math.sqrt(c)
-            return c + x, c - x, 1.0
-        x = x_factor * math.sqrt(2.0 * (k - 1) * math.log(k - 1))
-        return c + x * math.sqrt(c), c - x * math.sqrt(c) / (k - 1), x
+            return c + math.sqrt(c), c - math.sqrt(c)
+        x = 0.999 * math.sqrt(2.0 * (k - 1) * math.log(k - 1))
+        return c + x * math.sqrt(c), c - x * math.sqrt(c) / (k - 1)
 
     @staticmethod
     def contiguity_ok(alpha: float, beta: float, k: int, c: float) -> bool:
         if k == 2:
-            return (alpha - beta) ** 2 <= 2.0 * (alpha + beta)
+            # the k = 2 rates sit on this boundary by construction, so the
+            # comparison allows for rounding
+            return (alpha - beta) ** 2 <= 2.0 * (alpha + beta) * (1.0 + 1e-9)
         return (alpha - beta) ** 2 < 2.0 * c * k * k * math.log(k - 1) / (k - 1)
 
     def validate(self, cfg):
-        x_factor = float(cfg.options["x_factor"])
         for c in cfg.grid["c"]:
             for k in cfg.grid["k"]:
                 if int(k) < 2:
                     raise ValueError("k must be >= 2")
-                alpha, beta, _ = self.rates(float(c), int(k), x_factor)
+                alpha, beta = self.rates(float(c), int(k))
                 if beta < 0 or alpha <= 0:
                     raise ValueError(f"(c={c}, k={k}) gives negative rates")
 
     def task(self, options, base_seed, point_index, point, replicate):
         n, c, k = int(point["n"]), float(point["c"]), int(point["k"])
-        alpha, beta, _ = self.rates(c, k, float(options["x_factor"]))
-        contiguous = self.contiguity_ok(alpha, beta, k, c)
-        if not contiguous:
-            warnings.warn(
-                f"(alpha={alpha:.4g}, beta={beta:.4g}, k={k}) violates the "
-                f"contiguity bound; the planted model is distinguishable from "
-                f"matched-density ER at these rates", RuntimeWarning)
+        alpha, beta = self.rates(c, k)
         lg = gen_planted(n, alpha, beta, k,
                          substream(base_seed, point_index, replicate))
         part = planted_partition(lg)
         score = modularity_score(lg.graph, part).score
-        return {"_point": point_index, "n": n, "c": c, "k": k,
+        return {"n": n, "c": c, "k": k,
                 "alpha": alpha, "beta": beta, "seed": replicate,
                 "m": lg.graph.m, "score": score,
                 "f_over_sqrt_c": f_k(k) / math.sqrt(c),
-                "contiguity_ok": contiguous}
+                "contiguity_ok": self.contiguity_ok(alpha, beta, k, c)}
 
 
 class SbmDistinguish(_Experiment):
@@ -630,8 +614,7 @@ class SbmDistinguish(_Experiment):
     fraction of seeds where the planted score exceeds the witness."""
 
     name = "sbm-distinguish"
-    grids = (("n", "alpha", "beta"),)
-    option_defaults = {"solver": "extremal", "tol": 1e-3}
+    grid = ("n", "alpha", "beta")
     summary = {"separation_rate": _rows(("alpha", "beta"), rate=_of(np.mean, "separated"))}
     checks = (share("min_separation_rate", lambda r, cfg: r["separated"],
                     need=lambda cfg: cfg.assertions["min_separation_rate"]),)
@@ -644,9 +627,8 @@ class SbmDistinguish(_Experiment):
         score = modularity_score(lg.graph, planted_partition(lg)).score
         c_bar = 0.5 * (alpha + beta)
         g = gen_gnp(n, c_bar / n, substream(base_seed, point_index, replicate, 1))
-        witness = spectral_upper_witness(
-            g, c_bar / n, method=options["solver"], tol=float(options["tol"]))
-        return {"_point": point_index, "n": n, "alpha": alpha, "beta": beta,
+        witness = spectral_upper_witness(g, c_bar / n, method="extremal", tol=1e-3)
+        return {"n": n, "alpha": alpha, "beta": beta,
                 "seed": replicate, "planted_score": score,
                 "witness": witness.value,
                 "witness_converged": witness.converged,
@@ -667,7 +649,7 @@ def _tails(groups: Groups, cfg: ExperimentConfig) -> list[dict]:
             tail = int(np.count_nonzero(np.abs(qs - mean) >= t))
             frac = tail / qs.size
             bound = 2.0 * math.exp(-t * t * m / 2.0)
-            allowance = wilson_upper(tail, qs.size, float(cfg.options["wilson_z"])) - frac
+            allowance = wilson_upper(tail, qs.size) - frac
             rows.append({"n": point["n"], "m": m, "t": t, "empirical_tail": frac,
                          "bound": bound, "wilson_allowance": allowance,
                          "ok": frac <= bound + allowance})
@@ -679,8 +661,8 @@ class Concentration(_Experiment):
     against 2 exp(-t^2 m / 2) plus a Wilson sampling allowance."""
 
     name = "concentration"
-    grids = (("n", "m"),)
-    option_defaults = {"t_values": (0.2, 0.4, 0.6), "wilson_z": 3.0}
+    grid = ("n", "m")
+    option_defaults = {"t_values": (0.2, 0.4, 0.6)}
     summary = {"tails": _tails}
     checks = (Check("tails_ok", lambda groups, cfg: _agg(np.mean, (
                         row["ok"] for row in _tails(groups, cfg))),
@@ -695,8 +677,7 @@ class Concentration(_Experiment):
         n, m = int(point["n"]), int(point["m"])
         g = gen_gnm(n, m, substream(base_seed, point_index, replicate))
         q = exact_modularity(g).q_star_float
-        return {"_point": point_index, "n": n, "m": m,
-                "seed": replicate, "q_star": q}
+        return {"n": n, "m": m, "seed": replicate, "q_star": q}
 
 
 def _first_moment_limits(point: dict, cfg: ExperimentConfig) -> tuple[float, float]:
@@ -713,7 +694,7 @@ class IsolatedEdges(_Experiment):
     or m < 2).  The first-moment value of X/m itself is e^{-2c}."""
 
     name = "isolated-edges"
-    grids = (("n", "c"),)
+    grid = ("n", "c")
     positive = ("c",)
     summary = {"ratios": _rows(("n", "c"), mean_ratio=_of(np.mean, "ratio"),
                                prediction=_of(lambda values: values[0], "prediction"))}
@@ -726,7 +707,7 @@ class IsolatedEdges(_Experiment):
         n, c = int(point["n"]), float(point["c"])
         p = c / n
         g = gen_gnp(n, p, substream(base_seed, point_index, replicate))
-        rec = {"_point": point_index, "n": n, "c": c, "p": p,
+        rec = {"n": n, "c": c, "p": p,
                "seed": replicate, "m": g.m, "isolated_edges": 0, "ratio": None,
                "prediction": 0.5 * math.exp(-2.0 * c), "q_cc": None, "floor_ok": None}
         if g.m == 0:

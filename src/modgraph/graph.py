@@ -373,7 +373,9 @@ def connected_components(g: Graph) -> Partition:
 def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
     """Induced subgraph on the given vertices, re-indexed in ascending order
     of the original labels; the whole vertex set returns g itself."""
-    keep = np.unique(np.asarray(vertices, dtype=np.int64))
+    keep = np.asarray(vertices, dtype=np.int64)
+    if not (keep[1:] > keep[:-1]).all():
+        keep = np.unique(keep)
     if keep.size and (keep[0] < 0 or keep[-1] >= g.n):
         raise ValueError("vertex out of range")
     if keep.size == g.n:

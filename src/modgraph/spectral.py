@@ -28,6 +28,7 @@ from .graph import (EmptyGraphError, Graph, _symmetric_csr, connected_components
 
 __all__ = [
     "DENSE_CAP",
+    "WITNESS_METHODS",
     "SpectralSummary",
     "PruneResult",
     "GapEstimate",
@@ -44,6 +45,7 @@ __all__ = [
 
 DENSE_CAP = 4000
 _GAP_MAX_ITER = 200_000
+WITNESS_METHODS = ("auto", "dense", "extremal")
 
 
 class IsolatedVertexError(ValueError):
@@ -272,6 +274,9 @@ def spectral_upper_witness(g: Graph, p_model: float, *, method: str = "auto",
     informative when the pruned core falls apart.  method="dense" raises
     TooLargeError when H' has more than DENSE_CAP vertices.
     """
+    if method not in WITNESS_METHODS:
+        raise ValueError(f"method must be one of {', '.join(WITNESS_METHODS)}, "
+                         f"not {method!r}")
     if g.m == 0:
         raise EmptyGraphError("upper witness needs at least one edge")
     pruned = prune(g, p_model)

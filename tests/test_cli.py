@@ -59,6 +59,27 @@ class TestInputErrors:
         path.write_text("3 1\n0 1\n")
         self._fails(["spectral", str(path)], capsys, "isolated")
 
+    def _sparse_config(self, tmp_path, **over):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "sparse",
+                                    "grid": {"n": [100], "np": [0.5]}, **over}))
+        return str(path)
+
+    def test_fractional_replicates(self, tmp_path, capsys):
+        cfg = self._sparse_config(tmp_path, replicates=2.5)
+        self._fails(["sparse", "--config", cfg], capsys, "replicates must be an integer")
+
+    def test_string_replicates(self, tmp_path, capsys):
+        cfg = self._sparse_config(tmp_path, replicates="3")
+        self._fails(["sparse", "--config", cfg], capsys, "replicates must be an integer")
+
+    def test_negative_base_seed(self, tmp_path, capsys):
+        cfg = self._sparse_config(tmp_path, base_seed=-1)
+        self._fails(["sparse", "--config", cfg], capsys, "base_seed must be >= 0")
+        cfg = self._sparse_config(tmp_path)
+        self._fails(["sparse", "--config", cfg, "--seed", "-1"], capsys,
+                    "base_seed must be >= 0")
+
 
 class TestScoreCommand:
     def test_breakdown(self, p4_file, tmp_path, capsys):

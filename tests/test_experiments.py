@@ -7,6 +7,7 @@ import io
 import math
 import multiprocessing
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -47,7 +48,7 @@ class TestConfig:
     def test_unknown_grid_key(self):
         with pytest.raises(ValueError, match=r"grid key 'eps'; accepted: \(n, np\)"):
             cfg(grid={"n": [500], "np": [0.5], "eps": [0.1]})
-        # the two sparse grid forms do not mix
+        # sparse takes np, not a G(n,m) edge count
         with pytest.raises(ValueError, match="grid key 'm'"):
             cfg(grid={"n": [500], "np": [0.5], "m": [10]})
 
@@ -71,20 +72,54 @@ class TestConfig:
         for path in paths:
             ExperimentConfig.from_file(path)
 
+    def test_readme_table_matches_experiments(self):
+        # README's config table names each experiment's grid, option and
+        # assertion keys, in declaration order
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path) as fh:
+            rows = [line.split("|")[1:-1] for line in fh
+                    if re.match(r"\| `[a-z-]+` \|", line)]
+        table = {re.findall(r"`([^`]+)`", row[0])[0]:
+                 [re.findall(r"`([^`]+)`", cell) for cell in row[1:]]
+                 for row in rows}
+        assert table == {name: [list(exp.grid), list(exp.option_defaults),
+                                exp.assertion_keys()]
+                         for name, exp in EXPERIMENTS.items()}
+
     def test_option_defaults_filled_in(self):
         c = cfg(experiment="concentration", grid={"n": [8], "m": [10]})
-        assert c.options == {"t_values": (0.2, 0.4, 0.6), "wilson_z": 3.0}
-        c = cfg(experiment="sbm-distinguish",
-                grid={"n": [100], "alpha": [4.0], "beta": [1.0]})
-        assert c.options == {"solver": "extremal", "tol": 1e-3}
-        # the oracle cap and the gap solver's iteration cap are constants
+        assert c.options == {"t_values": (0.2, 0.4, 0.6)}
+        c = cfg(experiment="growth-rate", grid={"n": [100], "np": [4.0]})
+        assert c.options == {"upper_witness": False, "solver": "extremal", "tol": 1e-3}
+        # the oracle cap, the gap solver's iteration cap, the Wilson z, the
+        # planted x factor and sbm-distinguish's solver are constants
+        sbm = {"n": [100], "alpha": [4.0], "beta": [1.0]}
         for experiment, grid, key in (
                 ("concentration", {"n": [8], "m": [10]}, "cap"),
+                ("concentration", {"n": [8], "m": [10]}, "wilson_z"),
                 ("growth-rate", {"n": [100], "np": [4.0]}, "max_iter"),
-                ("sbm-distinguish", {"n": [100], "alpha": [4.0], "beta": [1.0]},
-                 "max_iter")):
+                ("planted", {"n": [100], "c": [9.0], "k": [6]}, "x_factor"),
+                ("sbm-distinguish", sbm, "max_iter"),
+                ("sbm-distinguish", sbm, "solver"),
+                ("sbm-distinguish", sbm, "tol")):
             with pytest.raises(ValueError, match=f"options key '{key}'"):
                 cfg(experiment=experiment, grid=grid, options={key: 1})
+
+    def test_unknown_solver(self):
+        with pytest.raises(ValueError, match="solver must be one of auto, dense, "
+                                             "extremal, not 'dens'"):
+            cfg(experiment="growth-rate", grid={"n": [100], "np": [4.0]},
+                options={"upper_witness": True, "solver": "dens"})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("replicates", 2.5, "replicates must be an integer"),
+        ("replicates", "3", "replicates must be an integer"),
+        ("replicates", True, "replicates must be an integer"),
+        ("base_seed", 1.5, "base_seed must be an integer"),
+        ("base_seed", -1, "base_seed must be >= 0")])
+    def test_replicates_and_seed_typed(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            cfg(**{key: value})
 
     def test_eps_range(self):
         with pytest.raises(EpsOutOfRangeError):
@@ -120,14 +155,14 @@ class _Exits(_Experiment):
     """Task 0 ends its worker process at once, as a killed worker would."""
 
     name = "exits"
-    grids = (("n",),)
+    grid = ("n",)
 
     def task(self, options, base_seed, point_index, point, replicate):
         if multiprocessing.parent_process() is None:
             raise AssertionError("ran in the test process, not a worker")
         if replicate == 0:
             os._exit(1)
-        return {"_point": point_index, "seed": replicate}
+        return {"seed": replicate}
 
 
 class TestDeterminism:
@@ -267,17 +302,17 @@ class TestSparse:
         assert res.passed
         assert all(r["q_cc"] > 0.999 for r in res.records)
 
-    def test_gnm_mode_matching_flag(self):
-        c = cfg(grid={"n": [10_000], "m": [50]}, replicates=10, base_seed=11,
+    def test_matching_flag(self):
+        c = cfg(grid={"n": [10_000], "np": [0.01]}, replicates=10, base_seed=11,
                 assertions={"matching_consistent": True})
         res = run_experiment(c)
         assert res.passed
         flags = [r["is_matching"] for r in res.records]
-        assert any(flags)  # at m=50, n=1e4 most draws are matchings
+        assert any(flags)  # at m near 50, n=1e4 most draws are matchings
         for r in res.records:
             if r["is_matching"]:
-                assert r["q_cc"] == pytest.approx(1 - 1 / 50, abs=1e-12)
-                assert r["q_matching_theory"] == pytest.approx(1 - 1 / 50, abs=1e-15)
+                assert r["q_cc"] == pytest.approx(1 - 1 / r["m"], abs=1e-12)
+                assert r["q_matching_theory"] == pytest.approx(1 - 1 / r["m"], abs=1e-15)
             else:
                 assert r["q_matching_theory"] is None
 
@@ -354,6 +389,17 @@ class TestPlanted:
         assert rec["beta"] == pytest.approx(9 - 3 * x / 5, rel=1e-12)
         assert rec["contiguity_ok"]
         assert rec["f_over_sqrt_c"] == pytest.approx(0.6686 / 3, abs=5e-5)
+
+
+    def test_every_grid_point_contiguous(self):
+        # the k = 2 rates sit on the contiguity boundary by construction, so
+        # rounding must not decide the column (at c = 5 it once read false)
+        c = cfg(experiment="planted",
+                grid={"n": [200], "c": [1.0 + 0.25 * i for i in range(197)],
+                      "k": [2, 3, 6, 11]}, replicates=1, base_seed=61)
+        res = run_experiment(c)
+        assert len(res.records) == 197 * 4
+        assert all(rec["contiguity_ok"] is True for rec in res.records)
 
 
 class TestSbmDistinguish:
@@ -433,13 +479,6 @@ class TestCsvFormat:
 
 
 class TestPlantedContiguityWarning:
-    def test_overdriven_rates_warn(self):
-        c = cfg(experiment="planted", grid={"n": [500], "c": [9.0], "k": [6]},
-                replicates=1, base_seed=59, options={"x_factor": 1.2})
-        with pytest.warns(RuntimeWarning, match="contiguity"):
-            res = run_experiment(c)
-        assert res.records[0]["contiguity_ok"] is False
-
     def test_default_rates_do_not_warn(self):
         import warnings as _w
         c = cfg(experiment="planted", grid={"n": [500], "c": [9.0], "k": [6]},
@@ -450,10 +489,10 @@ class TestPlantedContiguityWarning:
         assert res.records[0]["contiguity_ok"] is True
 
 
-# sha256 of the CSV of one small config per experiment (two grid forms for
-# sparse, growth-rate with and without the upper witness).  They pin the
-# column order, the blank cells and the float formatting of every task
-# record.  Together these run in about a second.
+# sha256 of the CSV of one small config per experiment (growth-rate with and
+# without the upper witness).  They pin the column order, the blank cells
+# and the float formatting of every task record.  Together these run in
+# about a second.
 GOLDEN_CSV = [
     ("growth-rate",
      {"experiment": "growth-rate", "grid": {"n": [600], "np": [8.0, 16.0]},
@@ -468,10 +507,6 @@ GOLDEN_CSV = [
      {"experiment": "sparse", "grid": {"n": [300], "np": [0.01, 0.5, 3.0]},
       "replicates": 3, "base_seed": 5},
      "1c16fcd706fa45b97e850d100537df377163f026cad573937cce54e2d60bd083"),
-    ("sparse-m",
-     {"experiment": "sparse", "grid": {"n": [2000], "m": [10, 50]},
-      "replicates": 3, "base_seed": 11},
-     "81d4b7983c3c116a41e32ef4bd6c105488628d786a3da930f53a2318283b8212"),
     ("threshold-window",
      {"experiment": "threshold-window", "grid": {"n": [2000], "eps": [0.2, 0.25]},
       "replicates": 2, "base_seed": 19},

@@ -374,6 +374,31 @@ class TestSubgraphs:
         g = cycle(5)
         assert induced_subgraph(g, np.arange(g.n)) is g
 
+    def test_unsorted_and_repeated_vertices(self):
+        # only a strictly increasing list skips the sort; any other order or
+        # repeats give the subgraph of the sorted, de-duplicated set
+        g = gen_gnm(40, 120, 5)
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 17, 40):
+            keep = np.sort(rng.choice(g.n, size, replace=False))
+            want = induced_subgraph(g, keep)
+            for vertices in (keep[::-1], rng.permutation(keep),
+                             np.concatenate([keep, keep[:3]]), np.repeat(keep, 2)):
+                sub = induced_subgraph(g, vertices)
+                assert sub.n == want.n and sub.edge_list() == want.edge_list()
+        with pytest.raises(ValueError, match="out of range"):
+            induced_subgraph(g, [5, 40, 3])
+
+    def test_increasing_vertices_skip_the_sort(self, monkeypatch):
+        g = gen_gnm(40, 120, 5)
+        want = induced_subgraph(g, [3, 7, 8, 30])
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called")
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert induced_subgraph(g, np.arange(g.n)) is g
+        assert induced_subgraph(g, np.array([3, 7, 8, 30])).edge_list() == want.edge_list()
+
     def test_strip_isolated(self):
         g = Graph(5, [(1, 3)])
         sub, kept = strip_isolated(g)

@@ -285,3 +285,9 @@ class TestUpperWitness:
         g = gen_gnp(4500, 30 / 4500, substream(909))
         with pytest.raises(TooLargeError, match="exceeds dense cap 4000"):
             spectral_upper_witness(g, 30 / 4500, method="dense")
+
+    def test_unknown_method_rejected(self):
+        g = gen_gnp(400, 30 / 400, substream(909))
+        with pytest.raises(ValueError, match="method must be one of auto, dense, "
+                                             "extremal, not 'dens'"):
+            spectral_upper_witness(g, 30 / 400, method="dens")
