@@ -21,8 +21,7 @@ from .spectral import (DENSE_CAP, GapEstimate, IsolatedVertexError,
                        UpperWitness, discrepancy_audit, extremal_gap,
                        normalized_laplacian, prune, spectral_summary,
                        spectral_upper_witness)
-from .experiments import (EXPERIMENTS, CheckOutcome, EpsOutOfRangeError,
-                          ExperimentConfig, ExperimentResult, run_experiment,
-                          wilson_upper)
+from .experiments import (EXPERIMENTS, CheckOutcome, ExperimentConfig,
+                          ExperimentResult, run_experiment, wilson_upper)
 
 __version__ = "0.1.0"

@@ -14,7 +14,8 @@ Utility subcommands operate directly on edge-list / partition files:
     modgraph spectral graph.txt --method extremal --tol 1e-6
 
 Input the library rejects (a malformed file, a bad parameter or config, an
-unreadable path) prints one "error: ..." line and exits 2.
+unreadable path) and a flag the chosen path would ignore print one
+"error: ..." line and exit 2.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import sys
 
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .generators import GeneratorSpec, Model, sample
-from .graph import (modularity_score, read_edgelist, read_partition,
-                    write_edgelist, write_partition)
+from .graph import (_write_records, modularity_score, read_edgelist,
+                    read_partition, write_edgelist, write_partition)
 from .oracle import ORACLE_CAP, exact_modularity, exact_modularity_k
 from .spectral import DENSE_CAP, extremal_gap, spectral_summary
 
@@ -68,6 +69,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_parts is not None and args.maximizers:
+        raise ValueError("--maximizers cannot be used with --max-parts")
     g = read_edgelist(args.graph)
     if args.max_parts is not None:
         q = exact_modularity_k(g, args.max_parts, cap=args.cap)
@@ -120,14 +123,13 @@ def _cmd_generate(args) -> int:
     else:
         write_edgelist(graph, sys.stdout)
     if hasattr(drawn, "labels") and args.labels_out:
-        with open(args.labels_out, "w") as fh:
-            fh.write(f"{graph.n} {drawn.k}\n")
-            for lab in drawn.labels.tolist():
-                fh.write(f"{lab}\n")
+        _write_records(args.labels_out, (graph.n, drawn.k), drawn.labels)
     return 0
 
 
 def _cmd_spectral(args) -> int:
+    if args.method == "extremal" and args.eigenvalues:
+        raise ValueError("--eigenvalues needs --method dense")
     g = read_edgelist(args.graph)
     if args.method == "extremal":
         est = extremal_gap(g, tol=args.tol)

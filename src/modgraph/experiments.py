@@ -40,15 +40,34 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "CheckOutcome",
-    "EpsOutOfRangeError",
     "EXPERIMENTS",
     "run_experiment",
     "wilson_upper",
 ]
 
 
-class EpsOutOfRangeError(ValueError):
-    """threshold-window needs eps in (0, 1)."""
+# Per grid key: whether its values must be integers (else any number), and
+# the range they must lie in, as text and as a test.
+_GRID_VALUES = {
+    "n": (True, ">= 1", lambda x: x >= 1),
+    "m": (True, ">= 0", lambda x: x >= 0),
+    "k": (True, ">= 2", lambda x: x >= 2),
+    "np": (False, "positive", lambda x: x > 0),
+    "c": (False, "positive", lambda x: x > 0),
+    "alpha": (False, "positive", lambda x: x > 0),
+    "beta": (False, ">= 0", lambda x: x >= 0),
+    "eps": (False, "in (0, 1)", lambda x: 0 < x < 1),
+}
+
+
+def _kind(value) -> str:
+    """A config value's JSON kind; an option's value must match its default's."""
+    for kind, types in (("a boolean", bool), ("a number", (int, float)), ("a string", str)):
+        if isinstance(value, types):
+            return kind
+    if isinstance(value, (list, tuple)) and all(_kind(x) == "a number" for x in value):
+        return "a list of numbers"
+    return type(value).__name__
 
 
 _FLOAT_FMT = "%.12g"
@@ -114,6 +133,8 @@ class ExperimentConfig:
                 ("grid", self.grid, exp.grid, f"({', '.join(exp.grid)})"),
                 ("options", self.options, exp.option_defaults, None),
                 ("assertions", self.assertions, exp.assertion_keys(), None)):
+            if not isinstance(given, dict):
+                raise ValueError(f"{section} must be an object, not {given!r}")
             unknown = [key for key in given if key not in allowed]
             if unknown:
                 raise ValueError(f"{self.experiment} does not accept {section} key "
@@ -123,8 +144,17 @@ class ExperimentConfig:
             values = self.grid.get(key)
             if not isinstance(values, list) or not values:
                 raise ValueError(f"grid[{key!r}] must be a non-empty list")
-            if key in exp.positive and min(values) <= 0:
-                raise ValueError(f"{key} must be positive")
+            integer, rule, holds = _GRID_VALUES[key]
+            for value in values:
+                if _kind(value) != "a number" or (integer and not isinstance(value, int)):
+                    raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}"
+                                     f", not {value!r}")
+                if not holds(value):
+                    raise ValueError(f"{key} must be {rule}, not {value!r}")
+        for key, value in self.options.items():
+            want = _kind(exp.option_defaults[key])
+            if _kind(value) != want:
+                raise ValueError(f"option {key} must be {want}, not {value!r}")
         self.options = {**exp.option_defaults, **self.options}
         exp.validate(self)
 
@@ -363,13 +393,11 @@ def share(name: str, test, need=lambda cfg: 1.0, **kw) -> Check:
 
 class _Experiment:
     """One experiment: its grid keys, its options with their defaults, the
-    grid keys whose values must be positive, the per-task record, and the
-    declared summary and checks."""
+    per-task record, and the declared summary and checks."""
 
     name: str = ""
     grid: tuple[str, ...] = ()
     option_defaults: dict = {}
-    positive: tuple[str, ...] = ()
     summary: dict = {}
     checks: tuple[Check, ...] = ()
 
@@ -415,7 +443,6 @@ class GrowthRate(_Experiment):
     name = "growth-rate"
     grid = ("n", "np")
     option_defaults = {"upper_witness": False, "solver": "extremal", "tol": 1e-3}
-    positive = ("np",)
     summary = {"medians": _rows(("n", "np"), median_q_swap=_median_q_swap),
                "slope": _q_swap_slope}
     checks = (
@@ -434,6 +461,11 @@ class GrowthRate(_Experiment):
     )
 
     def validate(self, cfg):
+        if min(cfg.grid["n"]) < 6:
+            raise ValueError("n must be >= 6 for swap bisection")
+        if not cfg.options["tol"] > 0:
+            # a tol of 0 or less runs every witness to the iteration cap
+            raise ValueError(f"tol must be positive, not {cfg.options['tol']!r}")
         if "witness_bound" in cfg.assertions and not cfg.options["upper_witness"]:
             raise ValueError("witness_bound assertion needs options.upper_witness")
         if cfg.options["solver"] not in WITNESS_METHODS:
@@ -468,7 +500,6 @@ class SparsePhase(_Experiment):
 
     name = "sparse"
     grid = ("n", "np")
-    positive = ("np",)
     summary = {"min_q_cc": _of(min, "q_cc"), "mean_deficit": _of(np.mean, "deficit")}
     checks = (
         share("min_qcc",
@@ -522,11 +553,6 @@ class ThresholdWindow(_Experiment):
         for point, recs in groups}}
     checks = (share("window_fraction", lambda r, cfg: r["in_window"],
                     need=lambda cfg: cfg.assertions["window_fraction"]),)
-
-    def validate(self, cfg):
-        for eps in cfg.grid["eps"]:
-            if not (0.0 < eps < 1.0):
-                raise EpsOutOfRangeError(f"eps={eps} outside (0, 1)")
 
     @staticmethod
     def bounds(eps: float) -> tuple[float, float]:
@@ -588,8 +614,6 @@ class Planted(_Experiment):
     def validate(self, cfg):
         for c in cfg.grid["c"]:
             for k in cfg.grid["k"]:
-                if int(k) < 2:
-                    raise ValueError("k must be >= 2")
                 alpha, beta = self.rates(float(c), int(k))
                 if beta < 0 or alpha <= 0:
                     raise ValueError(f"(c={c}, k={k}) gives negative rates")
@@ -695,7 +719,6 @@ class IsolatedEdges(_Experiment):
 
     name = "isolated-edges"
     grid = ("n", "c")
-    positive = ("c",)
     summary = {"ratios": _rows(("n", "c"), mean_ratio=_of(np.mean, "ratio"),
                                prediction=_of(lambda values: values[0], "prediction"))}
     checks = (

@@ -217,14 +217,18 @@ class Graph:
         return hash((self.n, self.m, self.edge_u.tobytes(), self.edge_v.tobytes()))
 
 
-def _symmetric_csr(g: Graph, data: np.ndarray):
-    """scipy CSR with data[i] at (edge_u[i], edge_v[i]) and at its mirror,
-    column indices sorted, without a sort: the sorted edge arrays are the
-    upper triangle's CSR, and an O(m) transpose adds the lower one."""
+def _upper_csr(g: Graph, data: np.ndarray):
+    """scipy CSR with data[i] at (edge_u[i], edge_v[i]), column indices
+    sorted, without a sort: the sorted edge arrays are its rows."""
     from scipy.sparse import csr_matrix
 
     indptr = np.concatenate(([0], np.cumsum(np.bincount(g.edge_u, minlength=g.n))))
-    upper = csr_matrix((data, g.edge_v, indptr), shape=(g.n, g.n))
+    return csr_matrix((data, g.edge_v, indptr), shape=(g.n, g.n))
+
+
+def _symmetric_csr(g: Graph, data: np.ndarray):
+    """_upper_csr plus its mirror, which an O(m) transpose adds."""
+    upper = _upper_csr(g, data)
     return upper + upper.T
 
 
@@ -361,12 +365,9 @@ def connected_components(g: Graph) -> Partition:
         raise InvalidPartitionError("graph has no vertices")
     if g.m == 0:
         return Partition.singletons(g.n)
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components as _cc
 
-    mat = csr_matrix((np.ones(g.m, dtype=np.int8), (g.edge_u, g.edge_v)),
-                     shape=(g.n, g.n))
-    _, labels = _cc(mat, directed=False)
+    _, labels = _cc(_upper_csr(g, np.ones(g.m, dtype=np.int8)), directed=False)
     return Partition.from_labels(labels)
 
 
@@ -439,6 +440,15 @@ def _read_records(path_or_file, header: str, counted: int, width: int,
     return (a, b), values.reshape(-1, width), err
 
 
+def _write_records(path_or_file, header: tuple[int, int], *columns) -> None:
+    """The header's two integers, then one line per record of the columns'
+    integers: the layout _read_records reads."""
+    with _open(path_or_file, "w") as fh:
+        fh.write(f"{header[0]} {header[1]}\n")
+        fh.writelines(" ".join(map(str, row)) + "\n"
+                      for row in zip(*(col.tolist() for col in columns)))
+
+
 def read_edgelist(path_or_file) -> Graph:
     """Parse the edge-list text format: first line "n m", then m lines
     "u v" with 0 <= u < v < n, no edge twice.  The first faulty line in
@@ -473,10 +483,7 @@ def read_edgelist(path_or_file) -> Graph:
 
 
 def write_edgelist(g: Graph, path_or_file) -> None:
-    with _open(path_or_file, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
-            fh.write(f"{u} {v}\n")
+    _write_records(path_or_file, (g.n, g.m), g.edge_u, g.edge_v)
 
 
 def read_partition(path_or_file) -> Partition:
@@ -503,7 +510,4 @@ def read_partition(path_or_file) -> Partition:
 
 
 def write_partition(p: Partition, path_or_file) -> None:
-    with _open(path_or_file, "w") as fh:
-        fh.write(f"{p.n} {p.k}\n")
-        for a in p.assign.tolist():
-            fh.write(f"{a}\n")
+    _write_records(path_or_file, (p.n, p.k), p.assign)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _blocks, _take, EmptyGraphError, Graph, Partition
+from .graph import _blocks, EmptyGraphError, Graph, Partition
 
 __all__ = [
     "SwapTrace",
@@ -39,15 +39,14 @@ class SwapTrace:
     """Full record of one Swap run.
 
     swaps[i] is True iff pair i+1 was swapped, which happens exactly when
-    t_values[i] > 0; t_star = sum |T_i|; final_cut = e(A', B') of the
-    returned bipartition.
+    t_values[i] > 0; t_star = sum |T_i|.  The returned bipartition's cut
+    is m times one minus its coverage, which modularity_score counts.
     """
 
     k: int
     swaps: np.ndarray
     t_values: np.ndarray
     t_star: int
-    final_cut: int
 
     def __post_init__(self):
         self.swaps.setflags(write=False)
@@ -96,10 +95,8 @@ def swap_bisection(g: Graph) -> tuple[Partition, SwapTrace]:
     a = np.arange(0, 4 * k, 2)
     side[a[swaps]] = 1
     side[a[swaps] + 1] = 0
-    final_cut = sum(int(np.count_nonzero(_take(side, u[blk]) != _take(side, v[blk])))
-                    for blk in _blocks(g.m))
     trace = SwapTrace(k=k, swaps=swaps, t_values=t_values,
-                      t_star=int(np.abs(t_values).sum()), final_cut=final_cut)
+                      t_star=int(np.abs(t_values).sum()))
     return Partition.from_labels(side), trace
 
 

@@ -1,5 +1,6 @@
 """CLI surface: file-based subcommands and experiment runs with exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,16 @@ class TestInputErrors:
         path.write_text("3 1\n0 1\n")
         self._fails(["spectral", str(path)], capsys, "isolated")
 
+    def test_maximizers_with_max_parts(self, p4_file, capsys):
+        self._fails(["oracle", p4_file, "--max-parts", "2", "--maximizers"], capsys,
+                    "--maximizers", "--max-parts")
+
+    def test_eigenvalues_with_extremal(self, p4_file, tmp_path, capsys):
+        eigs = tmp_path / "eigs.csv"
+        self._fails(["spectral", p4_file, "--method", "extremal",
+                     "--eigenvalues", str(eigs)], capsys, "--eigenvalues")
+        assert not eigs.exists()
+
     def _sparse_config(self, tmp_path, **over):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "sparse",
@@ -72,6 +83,10 @@ class TestInputErrors:
     def test_string_replicates(self, tmp_path, capsys):
         cfg = self._sparse_config(tmp_path, replicates="3")
         self._fails(["sparse", "--config", cfg], capsys, "replicates must be an integer")
+
+    def test_string_grid_value(self, tmp_path, capsys):
+        cfg = self._sparse_config(tmp_path, grid={"n": [100], "np": ["0.5"]})
+        self._fails(["sparse", "--config", cfg], capsys, "np must be a number")
 
     def test_negative_base_seed(self, tmp_path, capsys):
         cfg = self._sparse_config(tmp_path, base_seed=-1)
@@ -112,6 +127,21 @@ class TestGenerateCommand:
         assert g.n == 30
         lines = labels.read_text().splitlines()
         assert lines[0] == "30 2" and len(lines) == 31
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["--model", "gnp", "--n", "200", "--p", "0.05", "--seed", "7"],
+         {"g.txt": "381ceea6af8ffbeb6eba722a90690b334289ddde910ad1e6e90d995329a52ca8"}),
+        (["--model", "planted", "--n", "300", "--alpha", "8", "--beta", "2",
+          "--k", "3", "--seed", "11", "--labels-out", "labels.txt"],
+         {"g.txt": "2343d4c41e482ac74836bf4b39efd8441e098a68907330f7f495ecfa9ec68e63",
+          "labels.txt": "919617abcb4c60feb8696dbb9d632a88bfcbd8df4a1871e9a9d5ae674749dd70"})])
+    def test_output_bytes_pinned(self, tmp_path, monkeypatch, argv, digests):
+        # sha256 of each output file: the text writers may change, the bytes
+        # they write may not
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", *argv, "--out", "g.txt"]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -12,11 +12,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from modgraph.experiments import (EXPERIMENTS, EpsOutOfRangeError,
-                                  ExperimentConfig, _batches, _Experiment,
-                                  _worker_count, run_experiment, wilson_upper)
+from modgraph.experiments import (EXPERIMENTS, ExperimentConfig, _batches,
+                                  _Experiment, _worker_count, run_experiment,
+                                  wilson_upper)
 from modgraph.graph import EmptyGraphError
-from modgraph.heuristics import TooSmallError
 
 
 def cfg(**over):
@@ -122,8 +121,37 @@ class TestConfig:
             cfg(**{key: value})
 
     def test_eps_range(self):
-        with pytest.raises(EpsOutOfRangeError):
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\), not 1\.5"):
             cfg(experiment="threshold-window", grid={"n": [100], "eps": [1.5]})
+
+    @pytest.mark.parametrize("experiment, grid, message", [
+        ("sparse", {"n": [500], "np": ["0.5"]}, "np must be a number, not '0.5'"),
+        ("threshold-window", {"n": [500], "eps": ["0.2"]}, "eps must be a number"),
+        ("sparse", {"n": [500.7], "np": [0.5]}, "n must be an integer, not 500.7"),
+        ("sparse", {"n": [True], "np": [0.5]}, "n must be an integer, not True"),
+        ("planted", {"n": [100], "c": [9.0], "k": [2.5]}, "k must be an integer"),
+        ("planted", {"n": [100], "c": [9.0], "k": [1]}, "k must be >= 2, not 1"),
+        ("growth-rate", {"n": [0], "np": [2.0]}, "n must be >= 1, not 0"),
+        ("growth-rate", {"n": [3], "np": [2.0]}, "n must be >= 6"),
+        ("concentration", {"n": [8], "m": [-1]}, "m must be >= 0, not -1"),
+        ("sbm-distinguish", {"n": [100], "alpha": [-1.0], "beta": [1.0]},
+         "alpha must be positive, not -1.0"),
+        ("sbm-distinguish", {"n": [100], "alpha": [4.0], "beta": [-0.5]},
+         "beta must be >= 0, not -0.5")])
+    def test_grid_values_typed(self, experiment, grid, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cfg(experiment=experiment, grid=grid)
+
+    @pytest.mark.parametrize("over, message", [
+        ({"options": {"tol": "abc"}}, "option tol must be a number, not 'abc'"),
+        ({"options": {"upper_witness": "false"}},
+         "option upper_witness must be a boolean, not 'false'"),
+        ({"options": {"tol": 0.0}}, "tol must be positive, not 0.0"),
+        ({"options": []}, "options must be an object, not []"),
+        ({"assertions": []}, "assertions must be an object, not []")])
+    def test_options_typed(self, over, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cfg(experiment="growth-rate", grid={"n": [100], "np": [4.0]}, **over)
 
     def test_sparse_rejects_np_zero(self):
         with pytest.raises(ValueError, match="np must be positive"):
@@ -188,14 +216,15 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_task_names_its_key(self, threads):
-        # Swap needs n >= 6, so every task at n = 5 fails; the first is named
-        c = cfg(experiment="growth-rate", grid={"n": [30, 5], "np": [2.0]},
+        # Swap needs an edge, so every task at np = 1e-9 fails; the first is
+        # named
+        c = cfg(experiment="growth-rate", grid={"n": [30], "np": [2.0, 1e-9]},
                 replicates=2, base_seed=3)
-        message = (r"^growth-rate task failed at n=5 np=2\.0, replicate 0: "
-                   r"swap bisection needs n >= 6$")
+        message = (r"^growth-rate task failed at n=30 np=1e-09, replicate 0: "
+                   r"swap bisection needs at least one edge$")
         with pytest.raises(RuntimeError, match=message) as info:
             run_experiment(c, threads=threads)
-        assert isinstance(info.value.__cause__, TooSmallError)
+        assert isinstance(info.value.__cause__, EmptyGraphError)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_mid_batch_failure_names_its_task(self, threads):

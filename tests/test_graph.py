@@ -610,6 +610,8 @@ class TestIndependentRoutes:
     def test_components_match_bfs(self):
         for i in range(40):
             g = random_graph_sized(make_rng(13, i), 2, 14, min_edges=0)
+            # 0-2 trailing isolated vertices: rows past the last edge_u
+            g = Graph.from_arrays(g.n + i % 3, g.edge_u, g.edge_v)
             assert connected_components(g).assign.tolist() == _bfs_components(g)
 
 
