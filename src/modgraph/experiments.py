@@ -26,6 +26,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -151,6 +152,11 @@ class ExperimentConfig:
                                      f", not {value!r}")
                 if not holds(value):
                     raise ValueError(f"{key} must be {rule}, not {value!r}")
+        for point in self.points():
+            for name, rate in exp.edge_rates:
+                if rate(point) > point["n"]:
+                    raise ValueError(f"{name} = {rate(point):g} exceeds n = {point['n']}, "
+                                     "so the edge probability exceeds 1")
         for key, value in self.options.items():
             want = _kind(exp.option_defaults[key])
             if _kind(value) != want:
@@ -400,6 +406,9 @@ class _Experiment:
     option_defaults: dict = {}
     summary: dict = {}
     checks: tuple[Check, ...] = ()
+    # (name, rate of a grid point) for each rate that rate/n makes an edge
+    # probability; a rate above n is rejected when the config loads
+    edge_rates: tuple[tuple[str, Callable[[dict], float]], ...] = ()
 
     def assertion_keys(self) -> list[str]:
         return [key for check in self.checks if check.when is None
@@ -443,6 +452,7 @@ class GrowthRate(_Experiment):
     name = "growth-rate"
     grid = ("n", "np")
     option_defaults = {"upper_witness": False, "solver": "extremal", "tol": 1e-3}
+    edge_rates = (("np", itemgetter("np")),)
     summary = {"medians": _rows(("n", "np"), median_q_swap=_median_q_swap),
                "slope": _q_swap_slope}
     checks = (
@@ -500,6 +510,7 @@ class SparsePhase(_Experiment):
 
     name = "sparse"
     grid = ("n", "np")
+    edge_rates = (("np", itemgetter("np")),)
     summary = {"min_q_cc": _of(min, "q_cc"), "mean_deficit": _of(np.mean, "deficit")}
     checks = (
         share("min_qcc",
@@ -548,6 +559,7 @@ class ThresholdWindow(_Experiment):
 
     name = "threshold-window"
     grid = ("n", "eps")
+    edge_rates = (("1 + eps", lambda point: 1.0 + point["eps"]),)
     summary = {"in_window_fraction": lambda groups, cfg: {
         _where(point): _of(np.mean, "in_window")([(point, recs)], cfg)
         for point, recs in groups}}
@@ -593,6 +605,8 @@ class Planted(_Experiment):
 
     name = "planted"
     grid = ("n", "c", "k")
+    # beta < alpha, so alpha <= n keeps both rates in gen_planted's range
+    edge_rates = (("alpha", lambda point: Planted.rates(point["c"], point["k"])[0]),)
     summary = {"means": _rows(("c", "k"), mean_score=_of(np.mean, "score"))}
     checks = (Check("mean_tolerance", _of(np.mean, "score"), _planted_limits),)
 
@@ -639,6 +653,7 @@ class SbmDistinguish(_Experiment):
 
     name = "sbm-distinguish"
     grid = ("n", "alpha", "beta")
+    edge_rates = (("alpha", itemgetter("alpha")), ("beta", itemgetter("beta")))
     summary = {"separation_rate": _rows(("alpha", "beta"), rate=_of(np.mean, "separated"))}
     checks = (share("min_separation_rate", lambda r, cfg: r["separated"],
                     need=lambda cfg: cfg.assertions["min_separation_rate"]),)
@@ -696,6 +711,10 @@ class Concentration(_Experiment):
         for n in cfg.grid["n"]:
             if n > ORACLE_CAP:
                 raise TooLargeError(f"n={n} above oracle cap {ORACLE_CAP}")
+        for point in cfg.points():
+            pairs = point["n"] * (point["n"] - 1) // 2
+            if point["m"] > pairs:
+                raise ValueError(f"m = {point['m']} exceeds the {pairs} pairs of n = {point['n']}")
 
     def task(self, options, base_seed, point_index, point, replicate):
         n, m = int(point["n"]), int(point["m"])
@@ -719,6 +738,7 @@ class IsolatedEdges(_Experiment):
 
     name = "isolated-edges"
     grid = ("n", "c")
+    edge_rates = (("c", itemgetter("c")),)
     summary = {"ratios": _rows(("n", "c"), mean_ratio=_of(np.mean, "ratio"),
                                prediction=_of(lambda values: values[0], "prediction"))}
     checks = (

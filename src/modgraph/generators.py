@@ -10,10 +10,12 @@ G(n,p) uses geometric gap-skipping over the linear pair index instead of
 n(n-1)/2 Bernoulli draws, so runtime is O(n + output edges) and n = 1e6
 sweeps at p = c/n are cheap.  Positions are sampled and decoded to int32
 (u, v) pairs in cache-sized blocks (graph._BLOCK), so no edge-length int64
-or float64 array exists.  The blocks split each request for exponentials
-without changing it: a request is drawn in full and its size depends only
-on the trials left and p, so every stream and the generator state after
-each call are the same as with one whole-request draw.
+or float64 array exists.  Decoding inverts the closed-form row start
+u(2n-1-u)/2, so no n-length row-start table exists either.  The blocks
+split each request for exponentials without changing it: a request is
+drawn in full and its size depends only on the trials left and p, so
+every stream and the generator state after each call are the same as
+with one whole-request draw.
 """
 
 from __future__ import annotations
@@ -177,36 +179,49 @@ def _bernoulli_positions(rng: np.random.Generator, count: int,
             yield gaps[:np.searchsorted(gaps, count)] if last >= count else gaps
 
 
-def _row_starts(n: int) -> np.ndarray:
-    """Start of row u in the linear index over pairs (u, v), u < v."""
-    starts = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=starts[1:])
-    return starts
+def _row_start(u, n: int):
+    """Start of row u in the linear index over pairs (u, v), u < v, of n
+    vertices; u is a Python int or an int64 array."""
+    return u * (2 * n - 1 - u) // 2
 
 
-def _pairs_from_index(pos: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map a sorted block of linear pair indices to (u, v), given the
-    n = starts.size row starts (_row_starts(n)).
+def _row_of(pos: int, n: int) -> int:
+    """Row of linear pair index pos, exactly: counted from the last pair,
+    q = n(n-1)/2 - 1 - pos lies in row n - 2 - j for the largest j with
+    j(j+1)/2 <= q."""
+    q = n * (n - 1) // 2 - 1 - pos
+    return n - 2 - (math.isqrt(8 * q + 1) - 1) // 2
 
-    v = pos - (starts[u] - u - 1).  Only the rows r0..r1 that the block
-    spans are searched, from the smaller side: below 2 indices per row
-    (about where the two costs cross), each index among those row starts;
-    otherwise each row start among the indices, expanding per-row counts
-    with np.repeat."""
-    n = starts.size
+
+def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map a sorted block of linear pair indices over n vertices to (u, v).
+
+    Row u starts at u(2n-1-u)/2 and v = pos - (start(u) - u - 1); the rows
+    r0..r1 that the block spans come from it exactly, in Python integers.
+    At 2 or more indices per row (about where the two costs cross) each
+    row start is found among the indices and per-row counts are expanded
+    with np.repeat.  Below that each index's row is the float inverse
+    counted from the last pair, q = n(n-1)/2 - 1 - pos.  At a row's last
+    pair 8q+1 = (2j+1)^2 and float rounding moves the root by under half
+    an ulp, so the inverse is exact there; being monotone in q, it is
+    never a row late, and near a row's start it can be one row early,
+    which one step corrects.  Exact for n <= 3,037,000,499, where
+    u(2n-1-u) fits in int64."""
     dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     if pos.size == 0:
         return np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
-    r0, r1 = np.searchsorted(starts, pos[[0, -1]], side="right") - 1
-    span = starts[r0:r1 + 1]
-    if pos.size < 2 * span.size:
-        u = np.searchsorted(span, pos, side="right")
-        u += r0 - 1
-        shift = starts[u]
+    r0, r1 = _row_of(int(pos[0]), n), _row_of(int(pos[-1]), n)
+    if pos.size < 2 * (r1 - r0 + 1):
+        j = np.sqrt(8.0 * (n * (n - 1) // 2 - 1 - pos) + 1)
+        j -= 1
+        j /= 2
+        u = (n - 2) - np.floor(j, out=j).astype(np.int64)
+        u += _row_start(u + 1, n) <= pos
+        shift = _row_start(u, n)
         shift -= u
         shift -= 1
     else:
+        span = _row_start(np.arange(r0, r1 + 1, dtype=np.int64), n)
         counts = np.diff(np.searchsorted(pos, span), append=pos.size)
         u = np.repeat(np.arange(r0, r1 + 1, dtype=dtype), counts)
         shift = np.repeat(span - np.arange(r0 + 1, r1 + 2), counts)
@@ -223,7 +238,6 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
         raise ValueError("p must lie in [0, 1]")
     rng = _rng(seed)
     count = n * (n - 1) // 2
-    starts = _row_starts(n)
     # room for the first request's positions: the untouched tail is never
     # written, so its pages stay unmapped; a second request grows the arrays
     cap = count if p >= 1.0 else _request_size(count, p)
@@ -233,9 +247,8 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
     for pos in _bernoulli_positions(rng, count, p):
         if m + pos.size > u.size:
             u, v = (np.concatenate((a[:m], np.empty_like(a))) for a in (u, v))
-        u[m:m + pos.size], v[m:m + pos.size] = _pairs_from_index(pos, starts)
+        u[m:m + pos.size], v[m:m + pos.size] = _pairs_from_index(pos, n)
         m += pos.size
-    del starts  # n int64 row starts: free them before Graph adds its O(n) degrees
     return Graph.from_arrays(n, u[:m], v[:m], _trusted=True)
 
 
@@ -257,7 +270,7 @@ def gen_gnm(n: int, m: int, seed) -> Graph:
             chosen.add(t)
     pos = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
     pos.sort()
-    u, v = _pairs_from_index(pos, _row_starts(n))
+    u, v = _pairs_from_index(pos, n)
     return Graph.from_arrays(n, u, v, _trusted=True)
 
 
@@ -284,9 +297,8 @@ def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph
         verts_i = blocks[i]
         s_i = verts_i.size
         # within-block pairs
-        starts = _row_starts(s_i)
         for pos in _bernoulli_positions(rng, s_i * (s_i - 1) // 2, p_in):
-            lu, lv = _pairs_from_index(pos, starts)
+            lu, lv = _pairs_from_index(pos, s_i)
             eu_chunks.append(verts_i[lu])
             ev_chunks.append(verts_i[lv])
         # cross-block pairs against every later block

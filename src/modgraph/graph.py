@@ -267,14 +267,26 @@ class Partition:
         order, i.e. part ids ordered by smallest contained vertex.
 
         O(n) without a sort when the labels are integers in [0, n), as
-        component labels, block labels and part ids are.  Any other labels
-        (negative, >= n, float, bool, string) are first compressed to that
-        range by one np.unique."""
+        component labels, block labels and part ids are.  Labels already
+        in first-appearance order (a restricted-growth string: non-negative,
+        with a running maximum that starts at 0 and never rises by more
+        than 1) are the ids themselves and skip the relabel; an O(n) test
+        finds them, since scipy does not document its label order.  Any
+        other labels (negative, >= n, float, bool, string) are first
+        compressed to [0, n) by one np.unique."""
         arr = np.asarray(labels)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidPartitionError("assignment must be a non-empty vector")
         n = arr.size
-        if not (arr.dtype.kind in "iu" and int(arr.min()) >= 0 and int(arr.max()) < n):
+        in_range = False
+        if arr.dtype.kind in "iu" and int(arr.min()) >= 0:
+            top = np.maximum.accumulate(arr)
+            ordered = top[0] == 0 and bool((np.diff(top) <= 1).all())
+            in_range = int(top[-1]) < n
+            del top
+            if ordered:
+                return cls(arr)
+        if not in_range:
             arr = np.unique(arr, return_inverse=True)[1]
         # first[x]: the first position holding label x (n if none does)
         first = np.full(n, n, dtype=np.intp)

@@ -88,6 +88,26 @@ class TestInputErrors:
         cfg = self._sparse_config(tmp_path, grid={"n": [100], "np": ["0.5"]})
         self._fails(["sparse", "--config", cfg], capsys, "np must be a number")
 
+    @pytest.mark.parametrize("experiment, grid, word", [
+        ("growth-rate", {"n": [100], "np": [200.0]}, "np = 200 exceeds n = 100"),
+        ("sparse", {"n": [100], "np": [150.0]}, "np = 150 exceeds n = 100"),
+        ("threshold-window", {"n": [1], "eps": [0.5]}, "1 + eps = 1.5 exceeds n = 1"),
+        ("isolated-edges", {"n": [5], "c": [9.0]}, "c = 9 exceeds n = 5"),
+        ("planted", {"n": [4], "c": [9.0], "k": [2]}, "alpha = 12 exceeds n = 4"),
+        ("sbm-distinguish", {"n": [10], "alpha": [20.0], "beta": [1.0]},
+         "alpha = 20 exceeds n = 10"),
+        ("sbm-distinguish", {"n": [10], "alpha": [5.0], "beta": [12.0]},
+         "beta = 12 exceeds n = 10"),
+        ("concentration", {"n": [8], "m": [40]}, "m = 40 exceeds the 28 pairs")])
+    def test_grid_point_out_of_range(self, tmp_path, capsys, experiment, grid, word):
+        # each range joins two grid keys, so it is checked per grid point
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment, "grid": grid}))
+        assert main([experiment, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert word in err
+
     def test_negative_base_seed(self, tmp_path, capsys):
         cfg = self._sparse_config(tmp_path, base_seed=-1)
         self._fails(["sparse", "--config", cfg], capsys, "base_seed must be >= 0")

@@ -12,8 +12,8 @@ from scipy import stats
 from modgraph.generators import (GeneratorSpec, LabeledGraph, Model,
                                  MTooLargeError, RateOutOfRangeError,
                                  _bernoulli_positions, _pairs_from_index,
-                                 _row_starts, gen_gnm, gen_gnp, gen_planted,
-                                 sample, substream)
+                                 gen_gnm, gen_gnp, gen_planted, sample,
+                                 substream)
 from modgraph.graph import _BLOCK, Graph, modularity_score
 from modgraph.heuristics import swap_bisection
 
@@ -100,45 +100,78 @@ class TestDeterminism:
             (5, 7), (5, 8), (6, 7), (8, 9)]
 
 
+def _start(u, n):
+    return u * (2 * n - 1 - u) // 2
+
+
+def _pair_by_isqrt(pos, n):
+    """Reference decode of one index in Python integers: the largest row u
+    with start(u) <= pos, from the quadratic's root and a step each way."""
+    b = 2 * n - 1
+    u = (b - math.isqrt(b * b - 8 * pos)) // 2
+    while _start(u, n) > pos:
+        u -= 1
+    while _start(u + 1, n) <= pos:
+        u += 1
+    return u, pos - _start(u, n) + u + 1
+
+
 def _pairs_by_edge_search(pos, n):
-    """Reference decode: one search over the n row starts per edge."""
-    starts = _row_starts(n)
-    u = np.searchsorted(starts, pos, side="right") - 1
-    v = pos - starts[u] + u + 1
-    return u.astype(np.int32), v.astype(np.int32)
+    """Reference decode of a block, one index at a time."""
+    pairs = np.array([_pair_by_isqrt(int(x), n) for x in pos],
+                     dtype=np.int64).reshape(-1, 2)
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    return pairs[:, 0].astype(dtype), pairs[:, 1].astype(dtype)
 
 
 class TestPairDecoding:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 45])
     def test_matches_per_edge_search(self, n):
         count = n * (n - 1) // 2
-        starts = _row_starts(n)
         rng = np.random.default_rng(n)
         # sizes below 2 per spanned row search per edge, the others per row;
         # any sorted block decodes on its own, so pieces of 1 to 10 too
         for size in sorted({0, 1 if count else 0, count // 3, count}):
             pos = np.sort(rng.permutation(count)[:size]).astype(np.int64)
             ref_u, ref_v = _pairs_by_edge_search(pos, n)
-            u, v = _pairs_from_index(pos, starts)
+            u, v = _pairs_from_index(pos, n)
             assert u.dtype == ref_u.dtype and v.dtype == ref_v.dtype
             assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
             for piece in (1, 3, 10):
-                parts = [_pairs_from_index(pos[lo:lo + piece], starts)
+                parts = [_pairs_from_index(pos[lo:lo + piece], n)
                          for lo in range(0, size, piece)]
                 pu, pv = zip(*parts) if parts else ((ref_u,), (ref_v,))
                 assert np.array_equal(np.concatenate(pu), ref_u)
                 assert np.array_equal(np.concatenate(pv), ref_v)
 
+    @pytest.mark.parametrize("n", [2, 3, 46_341, 2**31 - 1, 3_037_000_499])
+    def test_row_boundaries_exact(self, n):
+        # once n is large, the float row estimate is one row too early at
+        # and just after most row starts, and the correction must put it
+        # right; at each row's last pair (start - 1) it must be exact
+        rng = np.random.default_rng(n)
+        count = n * (n - 1) // 2
+        rows = {0, n - 2} | {int(r) for r in rng.integers(0, n - 1, size=40)}
+        near = {_start(r, n) + d for r in rows for d in (-1, 0, 1, 2)}
+        pos = np.array(sorted(x for x in near if 0 <= x < count), dtype=np.int64)
+        ref_u, ref_v = _pairs_by_edge_search(pos, n)
+        # one index per block takes the float estimate; the whole sorted
+        # run spans far more rows than it has indices, so it does too
+        for lo, hi in [(i, i + 1) for i in range(pos.size)] + [(0, pos.size)]:
+            u, v = _pairs_from_index(pos[lo:hi], n)
+            assert np.array_equal(u, ref_u[lo:hi]) and np.array_equal(v, ref_v[lo:hi])
+        assert ref_u[0] == 0 and ref_u[-1] == n - 2 and ref_v[-1] == n - 1
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_positions(self, n):
-        u, v = _pairs_from_index(np.empty(0, dtype=np.int64), _row_starts(n))
+        u, v = _pairs_from_index(np.empty(0, dtype=np.int64), n)
         assert u.size == v.size == 0
         assert u.dtype == v.dtype == np.int32
 
     def test_every_pair_in_order(self):
         n = 9
         pos = np.arange(n * (n - 1) // 2, dtype=np.int64)
-        u, v = _pairs_from_index(pos, _row_starts(n))
+        u, v = _pairs_from_index(pos, n)
         assert list(zip(u.tolist(), v.tolist())) == list(itertools.combinations(range(n), 2))
 
 
@@ -258,7 +291,7 @@ class TestGrowthPathMemory:
         g, peak = _peak_alloc(lambda: gen_gnp(self.n, 0.01, substream(47)))
         assert g == graph
         # the two int32 edge arrays, sized to the first request, are 8.2
-        # B/edge; blocks and the O(n) row starts and degrees come on top
+        # B/edge; blocks and the O(n) degrees come on top
         assert peak <= 10 * g.m + 100 * self.n
 
     def test_build_no_edge_sized_temporary(self, graph):

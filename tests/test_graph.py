@@ -155,7 +155,27 @@ def _from_labels_by_sorting(labels):
     return assign.astype(np.int32), int(np.unique(assign).size)
 
 
+def _restricted_growth(raw):
+    """Labels in first-appearance order: each is at most one above the
+    largest before it (the first is 0)."""
+    labels, top = [], -1
+    for label in raw:
+        labels.append(min(label, top + 1))
+        top = max(top, labels[-1])
+    return labels
+
+
+def _bumped(labels, at, by):
+    labels[at % len(labels)] += by
+    return labels
+
+
+_RESTRICTED_GROWTH = st.lists(st.integers(0, 12), min_size=1, max_size=12).map(
+    _restricted_growth)
+
 _LABEL_LISTS = st.one_of(
+    _RESTRICTED_GROWTH,
+    st.builds(_bumped, _RESTRICTED_GROWTH, st.integers(0, 11), st.integers(1, 2)),
     st.lists(st.integers(0, 12), min_size=1, max_size=12),
     st.lists(st.integers(-6, 20), min_size=1, max_size=12),
     st.lists(st.integers(10**12 - 2, 10**12 + 2), min_size=1, max_size=12),
@@ -201,6 +221,25 @@ class TestPartition:
         assign, k = _from_labels_by_sorting(labels)
         p = Partition.from_labels(labels)
         assert p.assign.tobytes() == assign.tobytes() and p.k == k
+
+    def test_from_labels_first_appearance_peak(self):
+        # component labels arrive in first-appearance order; the O(n) test
+        # of that order takes them as ids, without the relabel's n-length
+        # first-position, rank and gather temporaries (33 B/label)
+        n = 10**6
+        rng = make_rng(5, 0)
+        opens = rng.random(n) < 0.3
+        opens[0] = True
+        top = np.cumsum(opens) - 1
+        labels = np.where(opens, top, rng.random(n) * (top + 1)).astype(np.int32)
+        tracemalloc.start()
+        try:
+            p = Partition.from_labels(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.assign.tobytes() == labels.tobytes() and p.k == top[-1] + 1
+        assert peak < 20 * n
 
     def test_from_labels_rejects_empty(self):
         with pytest.raises(InvalidPartitionError, match="non-empty vector"):
