@@ -98,23 +98,17 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    raw = {field.name: getattr(args, field.name)
+           for field in dataclasses.fields(GeneratorSpec)}
     if args.spec:
+        given = [f"--{key}" for key, val in raw.items() if val is not None]
+        if given:
+            raise ValueError(f"--spec cannot be used with {', '.join(given)}")
         with open(args.spec) as fh:
-            spec = GeneratorSpec.from_json(fh.read())
-    else:
-        fields = {}
-        if args.p is not None:
-            fields["p"] = args.p
-        if args.m is not None:
-            fields["m"] = args.m
-        if args.alpha is not None:
-            fields["alpha"] = args.alpha
-        if args.beta is not None:
-            fields["beta"] = args.beta
-        if args.k is not None:
-            fields["k"] = args.k
-        spec = GeneratorSpec(model=Model(args.model), n=args.n, seed=args.seed,
-                             **fields)
+            raw = json.load(fh)
+    spec = GeneratorSpec.from_dict(raw)
+    if args.labels_out and spec.model is not Model.PLANTED:
+        raise ValueError("--labels-out needs the planted model")
     drawn = sample(spec)
     graph = drawn.graph if hasattr(drawn, "graph") else drawn
     if args.out:
@@ -122,14 +116,14 @@ def _cmd_generate(args) -> int:
         print(f"wrote n={graph.n} m={graph.m} to {args.out}", file=sys.stderr)
     else:
         write_edgelist(graph, sys.stdout)
-    if hasattr(drawn, "labels") and args.labels_out:
+    if args.labels_out:
         _write_records(args.labels_out, (graph.n, drawn.k), drawn.labels)
     return 0
 
 
 def _cmd_spectral(args) -> int:
-    if args.method == "extremal" and args.eigenvalues:
-        raise ValueError("--eigenvalues needs --method dense")
+    if args.method == "extremal" and (args.eigenvalues or args.cap is not None):
+        raise ValueError("--eigenvalues and --cap need --method dense")
     g = read_edgelist(args.graph)
     if args.method == "extremal":
         est = extremal_gap(g, tol=args.tol)
@@ -137,7 +131,7 @@ def _cmd_spectral(args) -> int:
               f"iterations {est.iterations}, residual {est.residual:.3g}, "
               f"converged={est.converged})")
         return 0 if est.converged else 1
-    summary = spectral_summary(g, cap=args.cap)
+    summary = spectral_summary(g, cap=DENSE_CAP if args.cap is None else args.cap)
     print(f"gap = {summary.gap:.12g}  (dense path, connected={summary.connected})")
     if args.eigenvalues:
         with open(args.eigenvalues, "w") as fh:
@@ -172,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.set_defaults(func=_cmd_score)
 
     par = sub.add_parser("generate", help="draw a graph from a GeneratorSpec")
-    par.add_argument("--spec", default=None, help="GeneratorSpec JSON file")
+    par.add_argument("--spec", default=None, help="GeneratorSpec JSON, not with flags")
     par.add_argument("--model", choices=[m.value for m in Model], default=None)
     par.add_argument("--n", type=int, default=None)
     par.add_argument("--p", type=float, default=None)
@@ -180,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--alpha", type=float, default=None)
     par.add_argument("--beta", type=float, default=None)
     par.add_argument("--k", type=int, default=None)
-    par.add_argument("--seed", type=int, default=0)
+    par.add_argument("--seed", type=int, default=None, help="default 0")
     par.add_argument("--out", default=None, help="edge-list output (stdout if absent)")
     par.add_argument("--labels-out", default=None,
                      help="write planted block labels here")
@@ -190,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("graph", help="edge-list file")
     par.add_argument("--method", choices=["dense", "extremal"], default="dense")
     par.add_argument("--tol", type=float, default=1e-6)
-    par.add_argument("--cap", type=int, default=DENSE_CAP)
+    par.add_argument("--cap", type=int, default=None,
+                     help=f"max vertices of the dense path (default {DENSE_CAP})")
     par.add_argument("--eigenvalues", default=None,
                      help="CSV path for the full spectrum (dense only)")
     par.set_defaults(func=_cmd_spectral)
@@ -198,11 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate" and not args.spec:
-        if args.model is None or args.n is None:
-            parser.error("generate needs --spec or at least --model and --n")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

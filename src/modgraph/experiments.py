@@ -285,6 +285,8 @@ def _run_tasks(cfg: ExperimentConfig, threads: int) -> list[dict]:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run every task, then the experiment's summary and checks.  The CSV
     columns are the task record's keys in order, less its wall time."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, not {threads}")
     exp = EXPERIMENTS[cfg.experiment]
     records = _run_tasks(cfg, threads)
     summary, checks = exp.summarize(cfg, records)

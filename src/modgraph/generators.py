@@ -20,11 +20,11 @@ with one whole-request draw.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterator, Optional
+from numbers import Integral, Real
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class Model(str, Enum):
     PLANTED = "planted"
 
 
-_SPEC_KEYS = ("model", "n", "p", "m", "alpha", "beta", "k", "seed")
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters plus seed for one random-graph draw.
@@ -90,20 +87,28 @@ class GeneratorSpec:
             if name not in required and val is not None:
                 raise ValueError(f"model {self.model.value} forbids field {name!r}")
 
-    def to_json(self) -> str:
-        payload = {key: getattr(self, key) for key in _SPEC_KEYS}
-        payload["model"] = self.model.value
-        return json.dumps(payload)
-
     @classmethod
-    def from_json(cls, text: str) -> "GeneratorSpec":
-        raw = json.loads(text)
-        unknown = set(raw) - set(_SPEC_KEYS)
+    def from_dict(cls, raw: Mapping) -> "GeneratorSpec":
+        """The spec of a JSON object or of the CLI's flags: null is absent,
+        the model name ignores case, seed defaults to 0; a wrong key, a
+        missing model or n, or a value of the wrong type raises ValueError."""
+        if not isinstance(raw, Mapping):
+            raise ValueError("a GeneratorSpec must be a JSON object")
+        unknown = set(raw) - {field.name for field in fields(cls)}
         if unknown:
             raise ValueError(f"unknown GeneratorSpec keys: {sorted(unknown)}")
-        kwargs = {key: raw.get(key) for key in _SPEC_KEYS if raw.get(key) is not None}
-        kwargs["model"] = Model(str(raw["model"]).lower())
-        return cls(**kwargs)
+        given = {key: val for key, val in raw.items() if val is not None}
+        for key in ("model", "n"):
+            if key not in given:
+                raise ValueError(f"GeneratorSpec needs {key!r}")
+        model = given.pop("model")
+        for key, val in given.items():
+            kind, noun = ((Integral, "an integer") if key in ("n", "m", "k", "seed")
+                          else (Real, "a number"))
+            if isinstance(val, bool) or not isinstance(val, kind):
+                raise ValueError(f"GeneratorSpec {key!r} must be {noun}, not {val!r}")
+        return cls(model=Model(model.lower() if isinstance(model, str) else model),
+                   **{"seed": 0, **given})
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import bisect
 import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -95,13 +94,13 @@ class Graph:
     Edges are stored as two sorted arrays (edge_u[i] < edge_v[i], pairs in
     lexicographic order) plus per-vertex degrees derived from them; the
     adjacency CSR, each vertex's neighbours in ascending order, is built
-    lazily and without a sort.  This layout keeps scoring cache-friendly
-    up to n ~ 1e6.
+    without a sort on each call to adjacency() and not kept.  This layout
+    keeps scoring cache-friendly up to n ~ 1e6.  Endpoints must have an
+    integer dtype; an empty edge list of any dtype is the empty graph.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
+        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -129,6 +128,8 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if u.shape != v.shape:
             raise ValueError("edge endpoint arrays differ in length")
+        if u.size and not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
+            raise ValueError(f"edge endpoints must be integers, not {u.dtype}/{v.dtype}")
         dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
         if u.size:
             # before the cast, which would wrap a larger value; trusted pairs have u < v
@@ -187,15 +188,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        # derived value, benign if two threads race to fill the cache
-        mat = _symmetric_csr(self, np.ones(self.m, dtype=np.int8))
-        return mat.indptr, mat.indices
-
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, neighbors) CSR covering both directions of each edge."""
-        return self._adjacency
+        mat = _symmetric_csr(self, np.ones(self.m, dtype=np.int8))
+        return mat.indptr, mat.indices
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
@@ -235,23 +231,29 @@ def _symmetric_csr(g: Graph, data: np.ndarray):
 class Partition:
     """Assignment of every vertex to one of k parts, ids contiguous 0..k-1.
 
-    Empty parts are forbidden so k is well-defined; the check is O(n) (no
-    sort).  Use from_labels to compress arbitrary labels (ids are then
-    ordered by smallest contained vertex).
+    Ids are integers, and empty parts are forbidden so k is well-defined;
+    the checks are O(n) (no sort) in the ids' own dtype, then one copy
+    makes the kept ids.  Use from_labels to compress arbitrary labels
+    (ids are then ordered by smallest contained vertex).
     """
 
     __slots__ = ("assign", "k")
 
     def __init__(self, assign: Sequence[int] | np.ndarray):
-        arr = np.asarray(assign, dtype=np.int64)
+        arr = np.asarray(assign)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidPartitionError("assignment must be a non-empty vector")
+        if arr.dtype.kind not in "iu":
+            raise InvalidPartitionError(f"part ids must be integers, not {arr.dtype}")
         if int(arr.min()) < 0:
             raise InvalidPartitionError("negative part id")
         nk = int(arr.max()) + 1
-        # more ids than vertices leaves a part empty; checked before bincount
-        # allocates nk counters
-        if nk > arr.size or not np.bincount(arr, minlength=nk).all():
+        # more ids than vertices leaves a part empty, before nk flags exist.
+        # Indexing casts int32 ids in pieces; bincount would copy them all
+        if nk <= arr.size:
+            seen = np.zeros(nk, dtype=bool)
+            seen[arr] = True
+        if nk > arr.size or not seen.all():
             raise InvalidPartitionError("part ids must be contiguous (no empty parts)")
         arr = arr.astype(np.int32 if nk <= np.iinfo(np.int32).max else np.int64)
         arr.setflags(write=False)
@@ -266,37 +268,27 @@ class Partition:
         """Compress arbitrary labels to contiguous ids in first-appearance
         order, i.e. part ids ordered by smallest contained vertex.
 
-        O(n) without a sort when the labels are integers in [0, n), as
-        component labels, block labels and part ids are.  Labels already
-        in first-appearance order (a restricted-growth string: non-negative,
-        with a running maximum that starts at 0 and never rises by more
-        than 1) are the ids themselves and skip the relabel; an O(n) test
-        finds them, since scipy does not document its label order.  Any
-        other labels (negative, >= n, float, bool, string) are first
-        compressed to [0, n) by one np.unique."""
+        Two paths.  Labels already in first-appearance order (a
+        restricted-growth string: non-negative integers whose running
+        maximum starts at 0 and never rises by more than 1), as scipy's
+        component labels are, pass an O(n) test and are the ids
+        themselves; the test is needed as scipy does not document its
+        label order.  Any other labels (integers out of that order,
+        negative, float, bool, string) are ranked by one np.unique: a
+        label's id is the rank of its first position among the labels'
+        first positions."""
         arr = np.asarray(labels)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidPartitionError("assignment must be a non-empty vector")
-        n = arr.size
-        in_range = False
         if arr.dtype.kind in "iu" and int(arr.min()) >= 0:
             top = np.maximum.accumulate(arr)
-            ordered = top[0] == 0 and bool((np.diff(top) <= 1).all())
-            in_range = int(top[-1]) < n
-            del top
-            if ordered:
+            if top[0] == 0 and (np.diff(top) <= 1).all():
                 return cls(arr)
-        if not in_range:
-            arr = np.unique(arr, return_inverse=True)[1]
-        # first[x]: the first position holding label x (n if none does)
-        first = np.full(n, n, dtype=np.intp)
-        np.minimum.at(first, arr, np.arange(n))
-        opens = np.zeros(n, dtype=bool)
-        opens[first[first < n]] = True
-        # a label's id is the number of labels opened before its first position
-        rank = np.cumsum(opens)
-        rank -= 1
-        return cls(rank[first[arr]])
+            del top
+        _, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return cls(rank[inverse])
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":

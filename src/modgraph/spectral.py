@@ -150,7 +150,10 @@ def extremal_gap(g: Graph, tol: float = 1e-6) -> GapEstimate:
     eigenvalue, giving the stopping rule r / (2 sqrt(rho)) <= tol, or
     unconverged after _GAP_MAX_ITER applications of B.  The start vector
     comes from substream(0, n, m), so the result depends on g alone.
+    A tol that is not > 0, which would run to the cap, raises ValueError.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, not {tol!r}")
     _check_spectral_pre(g)
     apply_m = _normalized_adjacency_operator(g)
     v = np.sqrt(g.deg.astype(np.float64) / (2.0 * g.m))

@@ -70,6 +70,54 @@ class TestInputErrors:
                      "--eigenvalues", str(eigs)], capsys, "--eigenvalues")
         assert not eigs.exists()
 
+    @pytest.mark.parametrize("tol", ["0", "-0.001", "nan"])
+    def test_extremal_tol_not_positive(self, p4_file, capsys, tol):
+        # a tol of 0 would run to the iteration cap and exit 1
+        self._fails(["spectral", p4_file, "--method", "extremal", "--tol", tol],
+                    capsys, "tol must be positive")
+
+    def test_cap_with_extremal(self, p4_file, capsys):
+        self._fails(["spectral", p4_file, "--method", "extremal", "--cap", "3"],
+                    capsys, "--cap")
+
+    def _spec_file(self, tmp_path, **fields):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(fields))
+        return str(path)
+
+    def test_spec_without_model(self, tmp_path, capsys):
+        spec = self._spec_file(tmp_path, n=6, m=5)
+        self._fails(["generate", "--spec", spec], capsys, "needs 'model'")
+
+    def test_spec_fractional_n(self, tmp_path, capsys):
+        spec = self._spec_file(tmp_path, model="gnm", n=5.5, m=3, seed=1)
+        self._fails(["generate", "--spec", spec], capsys, "'n' must be an integer")
+
+    def test_spec_with_flags(self, tmp_path, capsys):
+        spec = self._spec_file(tmp_path, model="gnm", n=6, m=5, seed=1)
+        out = tmp_path / "g.txt"
+        self._fails(["generate", "--spec", spec, "--model", "gnm", "--n", "7",
+                     "--m", "3", "--out", str(out)], capsys,
+                    "--spec cannot be used with --model, --n, --m")
+        assert not out.exists()
+
+    def test_generate_without_model(self, capsys):
+        self._fails(["generate", "--n", "7", "--m", "3"], capsys, "needs 'model'")
+
+    @pytest.mark.parametrize("model", [["gnp", "--p", "0.5"], ["gnm", "--m", "3"]])
+    def test_labels_out_without_planted(self, tmp_path, capsys, model):
+        labels = tmp_path / "labels.txt"
+        self._fails(["generate", "--model", *model, "--n", "6", "--out",
+                     str(tmp_path / "g.txt"), "--labels-out", str(labels)],
+                    capsys, "--labels-out")
+        assert not labels.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = self._sparse_config(tmp_path)
+        self._fails(["sparse", "--config", cfg, "--threads", threads], capsys,
+                    f"threads must be >= 1, not {threads}")
+
     def _sparse_config(self, tmp_path, **over):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "sparse",
@@ -149,19 +197,37 @@ class TestGenerateCommand:
         assert lines[0] == "30 2" and len(lines) == 31
 
     @pytest.mark.parametrize("argv, digests", [
-        (["--model", "gnp", "--n", "200", "--p", "0.05", "--seed", "7"],
+        (["generate", "--model", "gnp", "--n", "200", "--p", "0.05", "--seed", "7",
+          "--out", "g.txt"],
          {"g.txt": "381ceea6af8ffbeb6eba722a90690b334289ddde910ad1e6e90d995329a52ca8"}),
-        (["--model", "planted", "--n", "300", "--alpha", "8", "--beta", "2",
-          "--k", "3", "--seed", "11", "--labels-out", "labels.txt"],
+        (["generate", "--model", "planted", "--n", "300", "--alpha", "8", "--beta", "2",
+          "--k", "3", "--seed", "11", "--out", "g.txt", "--labels-out", "labels.txt"],
          {"g.txt": "2343d4c41e482ac74836bf4b39efd8441e098a68907330f7f495ecfa9ec68e63",
-          "labels.txt": "919617abcb4c60feb8696dbb9d632a88bfcbd8df4a1871e9a9d5ae674749dd70"})])
-    def test_output_bytes_pinned(self, tmp_path, monkeypatch, argv, digests):
-        # sha256 of each output file: the text writers may change, the bytes
-        # they write may not
+          "labels.txt": "919617abcb4c60feb8696dbb9d632a88bfcbd8df4a1871e9a9d5ae674749dd70"}),
+        (["oracle", "c5.txt", "--maximizers"],
+         {"stdout": "e1e1ad22d4c99e891b6a602a55394de70407adb2ac4436a10e1d255bc8ba1c77"})])
+    def test_output_bytes_pinned(self, tmp_path, monkeypatch, capsys, argv, digests):
+        # sha256 of each output: the text writers may change, the bytes they
+        # write may not.  c5.txt is a 5-cycle after two isolated vertices, so
+        # each maximizer's labels are out of first-appearance order and take
+        # Partition.from_labels' relabel
         monkeypatch.chdir(tmp_path)
-        assert main(["generate", *argv, "--out", "g.txt"]) == 0
+        (tmp_path / "c5.txt").write_text("7 5\n2 3\n3 4\n4 5\n5 6\n2 6\n")
+        assert main(argv) == 0
+        (tmp_path / "stdout").write_text(capsys.readouterr().out)
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in digests} == digests
+
+    def test_spec_seed_defaults_to_flag_default(self, tmp_path):
+        # a spec without seed draws what the flags draw without --seed
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "planted", "n": 60, "alpha": 6,
+                                    "beta": 1, "k": 3}))
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert main(["generate", "--spec", str(spec), "--out", str(a)]) == 0
+        assert main(["generate", "--model", "planted", "--n", "60", "--alpha", "6",
+                     "--beta", "1", "--k", "3", "--out", str(b)]) == 0
+        assert a.read_text() == b.read_text()
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -1,7 +1,9 @@
 """Generators: determinism (with frozen reference streams), marginal
 statistics against binomial oracles, and spec validation."""
 
+import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -27,11 +29,33 @@ class TestGeneratorSpec:
             GeneratorSpec(model=Model.GNM, n=10, seed=1, m=3, p=0.5)
 
     def test_json_roundtrip(self):
+        # the JSON a spec file holds: every field, the model by name
         spec = GeneratorSpec(model=Model.PLANTED, n=50, seed=9, alpha=4.0,
                              beta=1.0, k=3)
-        again = GeneratorSpec.from_json(spec.to_json())
-        assert again == spec
-        assert '"model": "planted"' in spec.to_json()
+        text = json.dumps(dataclasses.asdict(spec))
+        assert '"model": "planted"' in text
+        assert GeneratorSpec.from_dict(json.loads(text)) == spec
+
+    def test_from_dict_defaults(self):
+        # null is absent, the model name ignores case, the seed defaults to 0
+        spec = GeneratorSpec.from_dict({"model": "GNM", "n": 6, "m": 5, "p": None})
+        assert spec == GeneratorSpec(model=Model.GNM, n=6, seed=0, m=5)
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"n": 6, "m": 5}, "needs 'model'"),
+        ({"model": "gnm", "m": 5}, "needs 'n'"),
+        ({"model": "gnm", "n": 6, "m": 5, "size": 3}, "unknown GeneratorSpec keys"),
+        ({"model": "gnm", "n": 5.5, "m": 5}, "'n' must be an integer"),
+        ({"model": "gnm", "n": 6, "m": 5, "seed": "1"}, "'seed' must be an integer"),
+        ({"model": "gnm", "n": True, "m": 5}, "'n' must be an integer"),
+        ({"model": "gnp", "n": 6, "p": "0.5"}, "'p' must be a number"),
+        ({"model": "gnp", "n": 6}, "requires field 'p'"),
+        ({"model": "gnp", "n": 6, "p": 0.5, "k": 2}, "forbids field 'k'"),
+        ({"model": "ba", "n": 6}, "not a valid Model"),
+        ([["model", "gnp"]], "JSON object")])
+    def test_from_dict_rejects(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec.from_dict(raw)
 
     def test_bounds(self):
         # a spec is built whatever its ranges; the generator that sample

@@ -91,6 +91,26 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="edge endpoint out of range"):
             Graph.from_arrays(3, np.array([0]), np.array([4294967297]))
 
+    def test_rejects_non_integer_endpoints(self):
+        # an integer cast would truncate 0.5 and 1.7 to the edge (0, 1)
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            Graph(3, [(0.5, 1.7)])
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            Graph.from_arrays(3, np.array([0.2]), np.array([1.9]))
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            Graph(3, [(True, False)])
+        # no endpoint, no fault: an empty edge list of any dtype is the empty graph
+        for dtype in (np.float64, np.bool_, np.int8, object):
+            empty = np.empty(0, dtype=dtype)
+            for g in (Graph(3, empty), Graph.from_arrays(3, empty, empty)):
+                assert g.m == 0 and g.deg.tolist() == [0, 0, 0]
+
+    def test_adjacency_not_kept(self):
+        g = path(4)
+        first, second = g.adjacency(), g.adjacency()
+        assert first[1] is not second[1] and vars(g).keys() == {
+            "n", "m", "edge_u", "edge_v", "deg"}
+
     def test_neighbors(self):
         indptr, nbrs = path(4).adjacency()
         assert nbrs[indptr[1]:indptr[2]].tolist() == [0, 2]
@@ -206,6 +226,29 @@ class TestPartition:
             tracemalloc.stop()
         # an id of 10**12 is rejected before any per-id counter exists
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("assign", [[0.2, 0.7], [True, False], ["0", "1"],
+                                        np.array([0.0, 1.0])])
+    def test_rejects_non_integer_ids(self, assign):
+        # an integer cast would make [0.2, 0.7] one part and [True, False]
+        # the ids [1, 0]
+        with pytest.raises(InvalidPartitionError, match="part ids must be integers"):
+            Partition(assign)
+
+    def test_constructor_peak(self):
+        # the ids are checked in their own dtype with one flag per id and
+        # copied once to int32: 4 MB for 10^6 int32 ids, not an int64 copy
+        n = 10**6
+        labels = make_rng(5, 1).integers(0, n // 3, size=n).astype(np.int32)
+        labels[:n // 3] = np.arange(n // 3)
+        tracemalloc.start()
+        try:
+            p = Partition(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.assign.tobytes() == labels.tobytes() and p.k == n // 3
+        assert peak < 6 * 2**20
 
     @given(_LABEL_LISTS)
     def test_from_labels_matches_sorting_reference(self, labels):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from modgraph import spectral
+from modgraph import graph as graph_module, spectral
 from modgraph.generators import gen_gnp, substream
 from modgraph.graph import (EmptyGraphError, Graph, Partition,
                             modularity_score, strip_isolated)
@@ -207,13 +207,20 @@ class TestDiscrepancyAudit:
 
 
 class TestPrune:
-    def test_regular_graph_untouched(self):
+    def test_regular_graph_untouched(self, monkeypatch):
         # every vertex meets the threshold: no adjacency is built
+        builds = []
+        build = graph_module._symmetric_csr
+        monkeypatch.setattr(graph_module, "_symmetric_csr",
+                            lambda *args: builds.append(args) or build(*args))
         g = cycle(8)
         pr = prune(g, p_model=0.5)
         assert (pr.kept.tolist(), pr.removed_edges, pr.rounds) == (list(range(8)), 0, 0)
         assert pr.kept.dtype == np.flatnonzero([True]).dtype
-        assert "_adjacency" not in g.__dict__
+        assert builds == []
+        # the count sees a build: a vertex below the threshold needs one
+        prune(Graph(9, [(i, (i + 1) % 8) for i in range(8)] + [(3, 8)]), p_model=0.5)
+        assert len(builds) == 1
 
     def test_one_vertex_below_threshold(self):
         # a pendant vertex 8 on a cycle: threshold 2 drops it alone
