@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import connected_components, modularity_score
+from .graph import _open, connected_components, modularity_score
 from .generators import gen_gnm, gen_gnp, gen_planted, substream
 from .heuristics import f_k, planted_partition, swap_bisection
 from .oracle import ORACLE_CAP, exact_modularity, solve_dual
@@ -198,19 +198,11 @@ class ExperimentResult:
         return all(c.passed for c in self.checks)
 
     def write_csv(self, path_or_file) -> None:
-        fh = path_or_file
-        close = False
-        if not hasattr(fh, "write"):
-            fh = open(fh, "w", newline="")
-            close = True
-        try:
+        with _open(path_or_file, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
             for rec in self.records:
                 writer.writerow([_fmt(rec.get(col)) for col in self.columns])
-        finally:
-            if close:
-                fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +231,14 @@ def _worker_count(threads: int, tasks: int, cpus: Optional[int]) -> int:
     """Worker processes worth starting: no more than asked for, than there
     are tasks or than there are CPUs, and at least one."""
     return max(1, min(threads, tasks, cpus or 1))
+
+
+def _usable_cpus() -> Optional[int]:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def _batches(tasks: list, workers: int) -> Iterator[list]:
@@ -275,7 +275,7 @@ def _run_tasks(cfg: ExperimentConfig, threads: int) -> list[dict]:
     tasks = [(cfg.experiment, cfg.options, cfg.base_seed, pi, point, rep)
              for pi, point in enumerate(cfg.points())
              for rep in range(cfg.replicates)]
-    workers = _worker_count(threads, len(tasks), os.cpu_count())
+    workers = _worker_count(threads, len(tasks), _usable_cpus())
     if workers == 1:
         return _collect(tasks, [_run_batch(tasks)])
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -577,8 +577,8 @@ class ThresholdWindow(_Experiment):
         n, eps = int(point["n"]), float(point["eps"])
         p = (1.0 + eps) / n
         g = gen_gnp(n, p, substream(base_seed, point_index, replicate))
-        comp = connected_components(g)
-        q_cc = modularity_score(g, comp).score
+        # an edgeless draw has no score; the window checks leave it out
+        q_cc = modularity_score(g, connected_components(g)).score if g.m else None
         lo, hi = self.bounds(eps)
         c = 1.0 + eps
         x = solve_dual(c)
@@ -586,7 +586,7 @@ class ThresholdWindow(_Experiment):
         return {"n": n, "eps": eps, "p": p,
                 "seed": replicate, "m": g.m, "q_cc": q_cc,
                 "lower_bound": lo, "upper_bound": hi,
-                "in_window": bool(lo < q_cc < hi),
+                "in_window": None if q_cc is None else bool(lo < q_cc < hi),
                 "eq21_value": eq21, "x_dual": x}
 
 

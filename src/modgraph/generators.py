@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .graph import _BLOCK, Graph
+from .graph import _BLOCK, Graph, _index_dtype
 
 __all__ = [
     "Model",
@@ -212,7 +212,7 @@ def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     never a row late, and near a row's start it can be one row early,
     which one step corrects.  Exact for n <= 3,037,000,499, where
     u(2n-1-u) fits in int64."""
-    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    dtype = _index_dtype(n)
     if pos.size == 0:
         return np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
     r0, r1 = _row_of(int(pos[0]), n), _row_of(int(pos[-1]), n)
@@ -246,7 +246,7 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
     # room for the first request's positions: the untouched tail is never
     # written, so its pages stay unmapped; a second request grows the arrays
     cap = count if p >= 1.0 else _request_size(count, p)
-    u = np.empty(cap, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    u = np.empty(cap, dtype=_index_dtype(n))
     v = np.empty_like(u)
     m = 0
     for pos in _bernoulli_positions(rng, count, p):
@@ -296,8 +296,8 @@ def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph
     blocks = [np.flatnonzero(labels == i) for i in range(k)]
     p_in = alpha / n
     p_out = beta / n
-    eu_chunks: list[np.ndarray] = []
-    ev_chunks: list[np.ndarray] = []
+    eu_chunks = [np.empty(0, dtype=np.int64)]
+    ev_chunks = [np.empty(0, dtype=np.int64)]
     for i in range(k):
         verts_i = blocks[i]
         s_i = verts_i.size
@@ -316,13 +316,7 @@ def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph
                 gv = verts_j[b]
                 eu_chunks.append(np.minimum(gu, gv))
                 ev_chunks.append(np.maximum(gu, gv))
-    if eu_chunks:
-        eu = np.concatenate(eu_chunks)
-        ev = np.concatenate(ev_chunks)
-    else:
-        eu = np.empty(0, dtype=np.int64)
-        ev = np.empty(0, dtype=np.int64)
-    graph = Graph.from_arrays(n, eu, ev)
+    graph = Graph.from_arrays(n, np.concatenate(eu_chunks), np.concatenate(ev_chunks))
     return LabeledGraph(graph=graph, labels=labels, k=k)
 
 

@@ -74,18 +74,22 @@ def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take(values, index, mode="wrap")
 
 
-# Volumes are at most 2m; their squares must stay inside int64.
-_VOL_INT64_SAFE = 3_037_000_499  # isqrt(2**63 - 1)
+def _index_dtype(count: int) -> type:
+    """Dtype of ids below `count`, vertex or part: int32 while they fit."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
 
 
 def _sum_sq(values: np.ndarray) -> int:
-    """Exact sum of squares of non-negative int64 values."""
+    """Exact sum of squares of non-negative int64 values whose sum fits in
+    int64, as part volumes (summing to 2m) do.  Each partial sum of squares
+    is at most max(v) * sum(v); while that product, taken in Python
+    integers, fits in int64 the int64 dot product cannot wrap, and past it
+    (a graph of about 1.5e9 edges or more) Python integers add the squares."""
     if values.size == 0:
         return 0
-    if int(values.max()) <= _VOL_INT64_SAFE:
+    if int(values.max()) * int(values.sum()) <= np.iinfo(np.int64).max:
         return int(np.dot(values, values))
-    # absurdly dense graph: fall back to arbitrary precision
-    return sum(int(v) * int(v) for v in values.tolist())
+    return sum(v * v for v in values.tolist())
 
 
 class Graph:
@@ -114,8 +118,11 @@ class Graph:
                     _trusted: bool = False) -> "Graph":
         """Fast path for generators: needs edge_u[i] < edge_v[i], pairs in any order.
 
-        _trusted skips the sortedness/duplicate scan; only callers that
-        construct edges as strictly increasing pair indices may set it.
+        _trusted skips every edge check (integer dtype, range, u < v, order
+        and duplicates) and only casts and counts: the pairs must already
+        be in-range u < v pairs in strictly increasing lexicographic order.
+        Only the library's own builds that make them so may set it:
+        gen_gnp and gen_gnm through the pair decoder, and induced_subgraph.
         """
         g = cls.__new__(cls)
         g._init_from_arrays(int(n), np.asarray(edge_u), np.asarray(edge_v),
@@ -128,40 +135,36 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if u.shape != v.shape:
             raise ValueError("edge endpoint arrays differ in length")
-        if u.size and not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
-            raise ValueError(f"edge endpoints must be integers, not {u.dtype}/{v.dtype}")
-        dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        if u.size:
-            # before the cast, which would wrap a larger value; trusted pairs have u < v
-            lo = int(u.min()) if trusted else min(int(u.min()), int(v.min()))
-            hi = int(v.max()) if trusted else max(int(u.max()), int(v.max()))
-            if lo < 0 or hi >= n:
-                raise ValueError("edge endpoint out of range")
-        if trusted:
-            u = np.asarray(u, dtype=dtype)
-            v = np.asarray(v, dtype=dtype)
-        else:
+        dtype = _index_dtype(n)
+        if not trusted:
+            if u.size:
+                if not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
+                    raise ValueError(f"edge endpoints must be integers, not {u.dtype}/{v.dtype}")
+                # before the cast, which would wrap a larger value
+                if (min(int(u.min()), int(v.min())) < 0
+                        or max(int(u.max()), int(v.max())) >= n):
+                    raise ValueError("edge endpoint out of range")
             u = u.astype(dtype, copy=True)
             v = v.astype(dtype, copy=True)
-        if u.size:
             for blk in _blocks(u.size):
                 if np.any(u[blk] >= v[blk]):
                     bad = blk.start + int(np.flatnonzero(u[blk] >= v[blk])[0])
                     if int(u[bad]) == int(v[bad]):
                         raise ValueError(f"self-loop at vertex {int(u[bad])}")
                     raise ValueError("edges must satisfy u < v")
-            if not trusted:
-                # keys u*n + v: sorted only when one scan finds them out of order
-                key = u.astype(np.int64) * n
-                key += v
+            # keys u*n + v: sorted only when one scan finds them out of order
+            key = u.astype(np.int64) * n
+            key += v
+            if np.any(np.diff(key) <= 0):
+                order = np.argsort(key)
+                u = u[order]
+                v = v[order]
+                key = key[order]
                 if np.any(np.diff(key) <= 0):
-                    order = np.argsort(key)
-                    u = u[order]
-                    v = v[order]
-                    key = key[order]
-                    if np.any(np.diff(key) <= 0):
-                        raise ValueError("duplicate edge")
-                del key
+                    raise ValueError("duplicate edge")
+            del key
+        u = np.asarray(u, dtype=dtype)
+        v = np.asarray(v, dtype=dtype)
         u.setflags(write=False)
         v.setflags(write=False)
         # edge_u is sorted on every path here, so from 2 edges per vertex up
@@ -255,7 +258,7 @@ class Partition:
             seen[arr] = True
         if nk > arr.size or not seen.all():
             raise InvalidPartitionError("part ids must be contiguous (no empty parts)")
-        arr = arr.astype(np.int32 if nk <= np.iinfo(np.int32).max else np.int64)
+        arr = arr.astype(_index_dtype(nk))
         arr.setflags(write=False)
         object.__setattr__(self, "assign", arr)
         object.__setattr__(self, "k", nk)
@@ -289,10 +292,6 @@ class Partition:
         rank = np.empty(first.size, dtype=np.int64)
         rank[np.argsort(first)] = np.arange(first.size)
         return cls(rank[inverse])
-
-    @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls(np.arange(n, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -367,8 +366,6 @@ def connected_components(g: Graph) -> Partition:
     """Partition into connected components, ids ordered by smallest vertex."""
     if g.n == 0:
         raise InvalidPartitionError("graph has no vertices")
-    if g.m == 0:
-        return Partition.singletons(g.n)
     from scipy.sparse.csgraph import connected_components as _cc
 
     _, labels = _cc(_upper_csr(g, np.ones(g.m, dtype=np.int8)), directed=False)
@@ -389,8 +386,9 @@ def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
     mask[keep] = True
     sel = mask[g.edge_u] & mask[g.edge_v]
     new_id = np.cumsum(mask) - 1
-    return Graph.from_arrays(int(keep.size),
-                             new_id[g.edge_u[sel]], new_id[g.edge_v[sel]])
+    # the mask keeps the edges' order and the increasing relabel their u < v
+    return Graph.from_arrays(int(keep.size), new_id[g.edge_u[sel]],
+                             new_id[g.edge_v[sel]], _trusted=True)
 
 
 def strip_isolated(g: Graph) -> tuple[Graph, np.ndarray]:
@@ -399,10 +397,10 @@ def strip_isolated(g: Graph) -> tuple[Graph, np.ndarray]:
     return induced_subgraph(g, kept), kept
 
 
-def _open(path_or_file, mode: str):
+def _open(path_or_file, mode: str, newline: str | None = None):
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
         return contextlib.nullcontext(path_or_file)
-    return open(path_or_file, mode)
+    return open(path_or_file, mode, newline=newline)
 
 
 def _read_records(path_or_file, header: str, counted: int, width: int,
@@ -472,8 +470,6 @@ def read_edgelist(path_or_file) -> Graph:
         # stays in every longer one, so bisection finds the first.
         i = bisect.bisect_left(range(len(edges) + 1), True,
                                key=lambda k: fault(0, k)[0] is not None) - 1
-        if i < 0:  # Graph rejects n itself
-            raise EdgeListFormatError(1, str(exc))
         a, b = edges[i].tolist()
         alone, _ = fault(i, i + 1)
         if alone is not None:

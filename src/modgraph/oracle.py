@@ -209,6 +209,8 @@ def _scan_partitions(g: Graph, active: np.ndarray,
 
 
 def _oracle_pre(g: Graph, cap: int) -> np.ndarray:
+    if g.n < 1:
+        raise ValueError("graph needs at least one vertex")
     active = np.flatnonzero(g.deg > 0)
     if active.size > cap:
         raise TooLargeError(
@@ -232,8 +234,6 @@ def _attach_isolated(g: Graph, active: np.ndarray, assign: np.ndarray) -> Partit
 def exact_modularity(g: Graph, cap: int = ORACLE_CAP) -> OracleResult:
     """q*(G) with every maximizer, by exhaustive enumeration over the
     non-isolated vertices (at most `cap` of them)."""
-    if g.n < 1:
-        raise ValueError("graph needs at least one vertex")
     active = _oracle_pre(g, cap)
     if g.m == 0:  # no active vertex: the one empty string gives singletons
         return OracleResult(Fraction(0), 0, g, active, [np.zeros(0, dtype=np.int8)])
@@ -245,8 +245,6 @@ def exact_modularity_k(g: Graph, k: int, cap: int = ORACLE_CAP) -> Fraction:
     """q_{<=k}(G): exact maximum over partitions with at most k parts."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.n < 1:
-        raise ValueError("graph needs at least one vertex")
     active = _oracle_pre(g, cap)
     if g.m == 0:
         return Fraction(0)

@@ -1,5 +1,6 @@
 """CLI surface: file-based subcommands and experiment runs with exit codes."""
 
+import csv
 import hashlib
 import json
 
@@ -286,6 +287,28 @@ class TestExperimentCommands:
         cfg = self._config(tmp_path, {})
         assert main(["growth-rate", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error: config is for 'sparse'")
+
+    def test_threshold_window_edgeless_draws(self, tmp_path, capsys):
+        # G(3, 0.4) is edgeless in about a fifth of its draws: such a row
+        # has no q_cc and no in_window, keeps its bounds, and the window
+        # fraction counts only the other rows, none of them in the window
+        path = tmp_path / "tw.json"
+        path.write_text(json.dumps({"experiment": "threshold-window",
+                                    "grid": {"n": [3], "eps": [0.2]}, "replicates": 20,
+                                    "base_seed": 1, "assertions": {"window_fraction": 0.5}}))
+        out = tmp_path / "tw.csv"
+        assert main(["threshold-window", "--config", str(path), "--out", str(out)]) == 1
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        edgeless = [row for row in rows if row["m"] == "0"]
+        assert 0 < len(edgeless) < len(rows)
+        for row in rows:
+            assert row["lower_bound"] and row["upper_bound"]
+            assert row["eq21_value"] and row["x_dual"]
+            assert row["in_window"] == ("" if row["m"] == "0" else "false")
+            assert (row["q_cc"] == "") == (row["m"] == "0")
+        printed = capsys.readouterr().out
+        assert '"n=3 eps=0.2": 0.0' in printed
+        assert "[FAIL] window_fraction: n=3 eps=0.2: 0.0 in [0.5, 1.0]" in printed
 
     def test_seed_override_changes_records(self, tmp_path):
         cfg = self._config(tmp_path, {})

@@ -12,9 +12,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from modgraph import experiments
 from modgraph.experiments import (EXPERIMENTS, ExperimentConfig, _batches,
-                                  _Experiment, _worker_count, run_experiment,
-                                  wilson_upper)
+                                  _Experiment, _usable_cpus, _worker_count,
+                                  run_experiment, wilson_upper)
 from modgraph.graph import EmptyGraphError
 
 
@@ -214,6 +215,17 @@ class TestDeterminism:
     def test_worker_count(self, threads, tasks, cpus, workers):
         assert _worker_count(threads, tasks, cpus) == workers
 
+    def test_workers_bounded_by_usable_cpus(self, monkeypatch):
+        # a process pinned to one CPU of a larger machine starts no pool
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+        assert len(run_experiment(cfg(replicates=4), threads=2).records) == 4
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_task_names_its_key(self, threads):
         # Swap needs an edge, so every task at np = 1e-9 fails; the first is
@@ -240,11 +252,11 @@ class TestDeterminism:
         with pytest.raises(RuntimeError, match=message) as info:
             run_experiment(c, threads=threads)
         assert isinstance(info.value.__cause__, EmptyGraphError)
-        if threads == 2 and os.cpu_count() >= 2:
+        if threads == 2 and _usable_cpus() >= 2:
             # the worker's traceback travels as a note on the cause
             assert "in task" in info.value.__cause__.__notes__[-1]
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or os.cpu_count() < 2,
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or _usable_cpus() < 2,
                         reason="needs 2 workers that inherit the test experiment")
     def test_killed_worker_names_a_task(self, monkeypatch):
         monkeypatch.setitem(EXPERIMENTS, "exits", _Exits())

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from modgraph.graph import (EdgeListFormatError, EmptyGraphError, Graph,
-                            InvalidPartitionError, Partition, _symmetric_csr,
+                            InvalidPartitionError, Partition, _sum_sq, _symmetric_csr,
                             connected_components, induced_subgraph,
                             modularity_exact, modularity_score, read_edgelist,
                             read_partition, strip_isolated, write_edgelist,
@@ -293,7 +293,7 @@ class TestPartition:
         assert p.assign.tolist() == [0, 1, 0, 2]
 
     def test_k_bounds(self):
-        p = Partition.singletons(5)
+        p = Partition(np.arange(5))
         assert p.k == 5
         assert Partition(np.zeros(5, dtype=int)).k == 1
 
@@ -327,6 +327,11 @@ class TestModularityScore:
     def test_empty_graph_refused(self):
         with pytest.raises(EmptyGraphError):
             modularity_score(Graph(3, []), Partition(np.zeros(3, dtype=int)))
+
+    def test_sum_sq_exact_past_int64(self):
+        # each value's square fits in int64, their sum does not
+        assert _sum_sq(np.array([3_000_000_000, 3_000_000_000])) == 18 * 10**18
+        assert _sum_sq(np.array([3_037_000_499])) == 3_037_000_499**2
 
     def test_trivial_partition_scores_zero_everywhere(self):
         for i in range(50):
@@ -381,6 +386,10 @@ class TestComponents:
         p = connected_components(Graph(5, [(3, 4), (0, 2)]))
         assert p.assign.tolist() == [0, 1, 0, 2, 2]
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_edgeless_singletons(self, n):
+        assert connected_components(Graph(n, [])) == Partition(np.arange(n))
+
     @staticmethod
     def _stats(g):
         """(size, edges, volume) per component, read off the components
@@ -429,7 +438,7 @@ class TestDegreeTaxBounds:
         g = Graph(4, [(0, 1), (2, 3)])
         assert degree_tax_bounds_check(g, connected_components(g))
         assert degree_tax_bounds_check(path(4), Partition([0, 0, 1, 1]))
-        assert degree_tax_bounds_check(cycle(4), Partition.singletons(4))
+        assert degree_tax_bounds_check(cycle(4), Partition(np.arange(4)))
 
     def test_needs_two_parts(self):
         with pytest.raises(InvalidPartitionError):
@@ -470,6 +479,28 @@ class TestSubgraphs:
                 assert sub.n == want.n and sub.edge_list() == want.edge_list()
         with pytest.raises(ValueError, match="out of range"):
             induced_subgraph(g, [5, 40, 3])
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        st.lists(st.integers(0, n - 1), max_size=2 * n))))
+    def test_matches_checked_build(self, case):
+        # the subgraph is built without edge checks; the same selected,
+        # relabelled edges through every check give the same graph
+        n, chosen, vertices = case
+        pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)],
+                         dtype=np.int64).reshape(-1, 2)[np.array(chosen, dtype=bool)]
+        g = Graph(n, pairs)
+        keep = sorted(set(vertices))
+        new_id = {x: i for i, x in enumerate(keep)}
+        edges = np.array([(new_id[u], new_id[v]) for u, v in g.edge_list()
+                          if u in new_id and v in new_id], dtype=np.int64).reshape(-1, 2)
+        want = Graph.from_arrays(len(keep), edges[:, 0], edges[:, 1])
+        got = induced_subgraph(g, vertices)
+        assert got.n == want.n
+        for name in ("edge_u", "edge_v", "deg"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_increasing_vertices_skip_the_sort(self, monkeypatch):
         g = gen_gnm(40, 120, 5)

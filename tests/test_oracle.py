@@ -150,7 +150,7 @@ def assert_matches_reference(g):
     r = exact_modularity(g)
     if g.m == 0:
         assert r.q_star == 0 and r.partitions_scanned == 0
-        assert r.optimal_partitions == (Partition.singletons(g.n),)
+        assert r.optimal_partitions == (Partition(np.arange(g.n)),)
         return
     assert r.q_star == Fraction(num, four_m2)
     assert r.partitions_scanned == scanned
