@@ -13,9 +13,8 @@ from .generators import (GeneratorSpec, LabeledGraph, Model, MTooLargeError,
 from .heuristics import (KTooSmallError, SwapTrace, TooSmallError, f_k,
                          planted_partition, swap_bisection)
 from .oracle import (COutOfRangeError, OracleResult, RobustnessCheck,
-                     exact_modularity, exact_modularity_k,
-                     optimal_connectivity_check, resolution_limit_check,
-                     robustness_check, solve_dual)
+                     exact_modularity, optimal_connectivity_check,
+                     resolution_limit_check, robustness_check, solve_dual)
 from .spectral import (DENSE_CAP, GapEstimate, IsolatedVertexError,
                        PruneResult, SpectralSummary, TooLargeError,
                        UpperWitness, discrepancy_audit, extremal_gap,

@@ -29,8 +29,8 @@ from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .generators import GeneratorSpec, Model, sample
 from .graph import (_write_records, modularity_score, read_edgelist,
                     read_partition, write_edgelist, write_partition)
-from .oracle import ORACLE_CAP, exact_modularity, exact_modularity_k
-from .spectral import DENSE_CAP, extremal_gap, spectral_summary
+from .oracle import ORACLE_CAP, exact_modularity
+from .spectral import DENSE_CAP, GAP_TOL, extremal_gap, spectral_summary
 
 
 def _add_experiment_parsers(sub) -> None:
@@ -69,16 +69,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.max_parts is not None and args.maximizers:
-        raise ValueError("--maximizers cannot be used with --max-parts")
     g = read_edgelist(args.graph)
-    if args.max_parts is not None:
-        q = exact_modularity_k(g, args.max_parts, cap=args.cap)
-        print(f"q_<=k = {q} = {float(q):.12g}  (k = {args.max_parts})")
-        return 0
-    result = exact_modularity(g, cap=args.cap)
+    result = exact_modularity(g, cap=args.cap, max_parts=args.max_parts)
     q = result.q_star
-    print(f"q* = {q} = {float(q):.12g}")
+    if args.max_parts is None:
+        print(f"q* = {q} = {float(q):.12g}")
+    else:
+        print(f"q_<=k = {q} = {float(q):.12g}  (k = {args.max_parts})")
     print(f"partitions scanned: {result.partitions_scanned}; "
           f"maximizers: {len(result.optimal_partitions)}")
     if args.maximizers:
@@ -124,10 +121,13 @@ def _cmd_generate(args) -> int:
 def _cmd_spectral(args) -> int:
     if args.method == "extremal" and (args.eigenvalues or args.cap is not None):
         raise ValueError("--eigenvalues and --cap need --method dense")
+    if args.method == "dense" and args.tol is not None:
+        raise ValueError("--tol needs --method extremal")
     g = read_edgelist(args.graph)
     if args.method == "extremal":
-        est = extremal_gap(g, tol=args.tol)
-        print(f"gap = {est.value:.12g}  (extremal path, tol {args.tol:g}, "
+        tol = GAP_TOL if args.tol is None else args.tol
+        est = extremal_gap(g, tol=tol)
+        print(f"gap = {est.value:.12g}  (extremal path, tol {tol:g}, "
               f"iterations {est.iterations}, residual {est.residual:.3g}, "
               f"converged={est.converged})")
         return 0 if est.converged else 1
@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     par = sub.add_parser("spectral", help="normalized-Laplacian spectral gap")
     par.add_argument("graph", help="edge-list file")
     par.add_argument("--method", choices=["dense", "extremal"], default="dense")
-    par.add_argument("--tol", type=float, default=1e-6)
+    par.add_argument("--tol", type=float, default=None,
+                     help=f"extremal only: accuracy of the gap (default {GAP_TOL:g})")
     par.add_argument("--cap", type=int, default=None,
                      help=f"max vertices of the dense path (default {DENSE_CAP})")
     par.add_argument("--eigenvalues", default=None,

@@ -373,9 +373,13 @@ def connected_components(g: Graph) -> Partition:
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
-    """Induced subgraph on the given vertices, re-indexed in ascending order
-    of the original labels; the whole vertex set returns g itself."""
-    keep = np.asarray(vertices, dtype=np.int64)
+    """Induced subgraph on the given vertices (integer ids; an empty selection
+    of any dtype is the empty graph), re-indexed in ascending order of the
+    original labels; the whole vertex set returns g itself."""
+    keep = np.asarray(vertices)
+    if keep.size and keep.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, not {keep.dtype}")
+    keep = keep.astype(np.int64, copy=False)
     if not (keep[1:] > keep[:-1]).all():
         keep = np.unique(keep)
     if keep.size and (keep[0] < 0 or keep[-1] >= g.n):

@@ -48,7 +48,6 @@ __all__ = [
     "RobustnessCheck",
     "COutOfRangeError",
     "exact_modularity",
-    "exact_modularity_k",
     "resolution_limit_check",
     "optimal_connectivity_check",
     "robustness_check",
@@ -58,8 +57,8 @@ __all__ = [
 ORACLE_CAP = 10
 # Bell(10) = 115975 partitions still fit one table; from 11 vertices on
 # the scan walks prefixes, and its cost keeps growing with the Bell
-# numbers (12 vertices: Bell(12) = 4213597 partitions, about 0.3 s).
-_WARN_ABOVE = 10
+# numbers (12 vertices: Bell(12) = 4213597 partitions, about 0.3 s), so
+# a larger cap warns.
 # Most partitions in one table: 10 vertices (45 pair columns) take one
 # float32 table of 21 MB.
 _TABLE_ROWS = 1 << 17
@@ -73,9 +72,10 @@ class COutOfRangeError(ValueError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact maximum score, every maximizer (isolated vertices appended as
-    singletons; built from the scan's label rows on first access, so a caller
-    that reads only q_star builds no Partition), and the partitions scanned."""
+    """Exact maximum score (q*, or q_{<=k} under a block cap), every
+    maximizer (isolated vertices appended as singletons; built from the
+    scan's label rows on first access, so a caller that reads only q_star
+    builds no Partition), and the partitions scanned."""
 
     q_star: Fraction
     partitions_scanned: int
@@ -208,21 +208,6 @@ def _scan_partitions(g: Graph, active: np.ndarray,
     return best_num - int(d @ d), best, scanned
 
 
-def _oracle_pre(g: Graph, cap: int) -> np.ndarray:
-    if g.n < 1:
-        raise ValueError("graph needs at least one vertex")
-    active = np.flatnonzero(g.deg > 0)
-    if active.size > cap:
-        raise TooLargeError(
-            f"{active.size} non-isolated vertices exceed the oracle cap {cap}")
-    if active.size > _WARN_ABOVE:
-        warnings.warn(
-            f"enumerating partitions of {active.size} vertices "
-            f"(Bell numbers grow fast beyond {_WARN_ABOVE})", RuntimeWarning,
-            stacklevel=3)
-    return active
-
-
 def _attach_isolated(g: Graph, active: np.ndarray, assign: np.ndarray) -> Partition:
     labels = np.full(g.n, -1, dtype=np.int64)
     labels[active] = assign
@@ -231,25 +216,29 @@ def _attach_isolated(g: Graph, active: np.ndarray, assign: np.ndarray) -> Partit
     return Partition.from_labels(labels)
 
 
-def exact_modularity(g: Graph, cap: int = ORACLE_CAP) -> OracleResult:
+def exact_modularity(g: Graph, cap: int = ORACLE_CAP, *,
+                     max_parts: int | None = None) -> OracleResult:
     """q*(G) with every maximizer, by exhaustive enumeration over the
-    non-isolated vertices (at most `cap` of them)."""
-    active = _oracle_pre(g, cap)
+    non-isolated vertices (at most `cap` of them); with max_parts=k, the
+    same for q_{<=k}(G), the maximum over partitions of at most k parts
+    (isolated vertices, re-attached as singletons, do not count)."""
+    if g.n < 1:
+        raise ValueError("graph needs at least one vertex")
+    if max_parts is not None and max_parts < 1:
+        raise ValueError("max_parts must be >= 1")
+    active = np.flatnonzero(g.deg > 0)
+    if active.size > cap:
+        raise TooLargeError(
+            f"{active.size} non-isolated vertices exceed the oracle cap {cap}")
+    if active.size > ORACLE_CAP:
+        warnings.warn(
+            f"enumerating partitions of {active.size} vertices "
+            f"(Bell numbers grow fast beyond {ORACLE_CAP})", RuntimeWarning,
+            stacklevel=2)
     if g.m == 0:  # no active vertex: the one empty string gives singletons
         return OracleResult(Fraction(0), 0, g, active, [np.zeros(0, dtype=np.int8)])
-    best_num, best, scanned = _scan_partitions(g, active, max_parts=active.size)
+    best_num, best, scanned = _scan_partitions(g, active, max_parts or active.size)
     return OracleResult(Fraction(best_num, 4 * g.m * g.m), scanned, g, active, best)
-
-
-def exact_modularity_k(g: Graph, k: int, cap: int = ORACLE_CAP) -> Fraction:
-    """q_{<=k}(G): exact maximum over partitions with at most k parts."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    active = _oracle_pre(g, cap)
-    if g.m == 0:
-        return Fraction(0)
-    best_num, _, _ = _scan_partitions(g, active, max_parts=k)
-    return Fraction(best_num, 4 * g.m * g.m)
 
 
 def resolution_limit_check(g: Graph) -> bool:

@@ -16,9 +16,8 @@ from modgraph.experiments import ExperimentConfig, run_experiment
 from modgraph.generators import gen_gnp, substream
 from modgraph.graph import Graph, modularity_score
 from modgraph.heuristics import f_k
-from modgraph.oracle import (exact_modularity, exact_modularity_k,
-                             optimal_connectivity_check, resolution_limit_check,
-                             robustness_check)
+from modgraph.oracle import (exact_modularity, optimal_connectivity_check,
+                             resolution_limit_check, robustness_check)
 from modgraph.spectral import discrepancy_audit, spectral_summary
 
 from _samplers import (make_rng, random_connected_graph, random_graph_sized,
@@ -310,7 +309,7 @@ def test_criterion_12_few_parts():
             continue
         q_star = exact_modularity(g).q_star
         for k in (1, 2, 3, 4):
-            qk = exact_modularity_k(g, k)
+            qk = exact_modularity(g, max_parts=k).q_star
             assert qk >= q_star * Fraction(k - 1, k)  # exact rational check
             assert qk <= q_star
             if k >= 2 and q_star > 0:

@@ -36,7 +36,17 @@ class TestOracleCommand:
 
     def test_max_parts(self, p4_file, capsys):
         assert main(["oracle", p4_file, "--max-parts", "1"]) == 0
-        assert "q_<=k = 0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "q_<=k = 0" in out
+        assert "partitions scanned: 1; maximizers: 1" in out
+
+    def test_maximizers_with_max_parts(self, p4_file, capsys):
+        # the maximizers of q_<=2, not of q*: P4 has the one 0 0 1 1
+        assert main(["oracle", p4_file, "--max-parts", "2", "--maximizers"]) == 0
+        assert capsys.readouterr().out == (
+            "q_<=k = 1/6 = 0.166666666667  (k = 2)\n"
+            "partitions scanned: 8; maximizers: 1\n"
+            "4 2\n0\n0\n1\n1\n")
 
 
 class TestInputErrors:
@@ -61,10 +71,6 @@ class TestInputErrors:
         path.write_text("3 1\n0 1\n")
         self._fails(["spectral", str(path)], capsys, "isolated")
 
-    def test_maximizers_with_max_parts(self, p4_file, capsys):
-        self._fails(["oracle", p4_file, "--max-parts", "2", "--maximizers"], capsys,
-                    "--maximizers", "--max-parts")
-
     def test_eigenvalues_with_extremal(self, p4_file, tmp_path, capsys):
         eigs = tmp_path / "eigs.csv"
         self._fails(["spectral", p4_file, "--method", "extremal",
@@ -76,6 +82,13 @@ class TestInputErrors:
         # a tol of 0 would run to the iteration cap and exit 1
         self._fails(["spectral", p4_file, "--method", "extremal", "--tol", tol],
                     capsys, "tol must be positive")
+
+    @pytest.mark.parametrize("tol", ["-1", "1e-6"])
+    def test_tol_with_dense(self, p4_file, capsys, tol):
+        # the dense path reads no tolerance, given or by default
+        self._fails(["spectral", p4_file, "--tol", tol], capsys, "--tol")
+        self._fails(["spectral", p4_file, "--method", "dense", "--tol", tol],
+                    capsys, "--tol")
 
     def test_cap_with_extremal(self, p4_file, capsys):
         self._fails(["spectral", p4_file, "--method", "extremal", "--cap", "3"],
@@ -253,6 +266,13 @@ class TestSpectralCommand:
         out = capsys.readouterr().out
         assert "extremal path" in out and "converged=True" in out
         assert "iterations" in out and "residual" in out
+
+    def test_extremal_default_tol(self, p4_file, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr("modgraph.cli.extremal_gap",
+                            lambda g, tol: seen.append(tol) or GapEstimate(0.5, True, 4, 0.0))
+        assert main(["spectral", p4_file, "--method", "extremal"]) == 0
+        assert seen == [1e-6] and "tol 1e-06" in capsys.readouterr().out
 
     def test_extremal_unconverged_exits_one(self, p4_file, capsys, monkeypatch):
         monkeypatch.setattr("modgraph.cli.extremal_gap",

@@ -480,6 +480,22 @@ class TestSubgraphs:
         with pytest.raises(ValueError, match="out of range"):
             induced_subgraph(g, [5, 40, 3])
 
+    @pytest.mark.parametrize("vertices", [
+        [0.9, 1.2], [True, False], np.array([0.0, 1.0]),
+        np.array([0, 1], dtype=object)])
+    def test_non_integer_ids(self, vertices):
+        # a cast would truncate 0.9 and 1.2 to 0 and 1, and select True, False
+        # as vertices 1 and 0
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            induced_subgraph(path(3), vertices)
+
+    @pytest.mark.parametrize("vertices", [
+        [], np.array([], dtype=bool), np.array([], dtype=object),
+        np.array([], dtype=np.int32)])
+    def test_empty_selection_any_dtype(self, vertices):
+        sub = induced_subgraph(path(3), vertices)
+        assert sub.n == 0 and sub.m == 0
+
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),

@@ -16,8 +16,8 @@ from modgraph import oracle
 from modgraph.experiments import EXPERIMENTS
 from modgraph.graph import EmptyGraphError, Graph, Partition, modularity_exact
 from modgraph.oracle import (COutOfRangeError, exact_modularity,
-                             exact_modularity_k, optimal_connectivity_check,
-                             resolution_limit_check, robustness_check, solve_dual)
+                             optimal_connectivity_check, resolution_limit_check,
+                             robustness_check, solve_dual)
 from modgraph.spectral import TooLargeError
 
 from _samplers import random_connected_graph, random_graph_sized, make_rng
@@ -139,14 +139,18 @@ def assert_scan_matches(g, max_parts):
 
 
 def assert_matches_reference(g):
-    """The scan at every block cap, every q_<=k and the OracleResult equal
-    the reference's."""
+    """The scan at every block cap, every q_<=k with its maximizers and the
+    OracleResult equal the reference's."""
     active = np.flatnonzero(g.deg > 0)
     four_m2 = 4 * g.m * g.m
     for k in range(1, max(active.size, 1) + 1):
         num, best, scanned = assert_scan_matches(g, k)
         if g.m:
-            assert exact_modularity_k(g, k) == Fraction(num, four_m2)
+            rk = exact_modularity(g, max_parts=k)
+            assert rk.q_star == Fraction(num, four_m2)
+            assert rk.partitions_scanned == scanned
+            assert [p.assign.tolist() for p in rk.optimal_partitions] == \
+                [_reference_attach(g, active, a).assign.tolist() for a in best]
     r = exact_modularity(g)
     if g.m == 0:
         assert r.q_star == 0 and r.partitions_scanned == 0
@@ -325,20 +329,37 @@ class TestScanMatchesReference:
 
 
 class TestExactModularityK:
+    def test_max_parts_below_one(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="max_parts must be >= 1"):
+                exact_modularity(path(4), max_parts=k)
+
+    def test_p4_two_parts_maximizer(self):
+        r = exact_modularity(path(4), max_parts=2)
+        assert r.q_star == Fraction(1, 6) and r.partitions_scanned == 8
+        assert [p.assign.tolist() for p in r.optimal_partitions] == [[0, 0, 1, 1]]
+
+    def test_isolated_vertices_do_not_count_as_parts(self):
+        # one edge plus two isolated vertices: the one part {0, 1} is optimal
+        # among <= 1 parts, and the isolated vertices come back as singletons
+        r = exact_modularity(Graph(4, [(0, 1)]), max_parts=1)
+        assert r.q_star == 0
+        assert [p.assign.tolist() for p in r.optimal_partitions] == [[0, 0, 1, 2]]
+
     def test_k1_is_zero(self):
         for i in range(10):
             g = random_graph_sized(make_rng(31, i), 2, 8)
-            assert exact_modularity_k(g, 1) == 0
+            assert exact_modularity(g, max_parts=1).q_star == 0
 
     def test_three_edges_two_parts(self):
         # merging two of the three components is optimal among <= 2 parts:
         # 1 - (16 + 4)/36 = 4/9
-        assert exact_modularity_k(matching(3), 2) == Fraction(4, 9)
+        assert exact_modularity(matching(3), max_parts=2).q_star == Fraction(4, 9)
 
     def test_large_k_recovers_q_star(self):
         for i in range(15):
             g = random_graph_sized(make_rng(32, i), 2, 8)
-            assert exact_modularity_k(g, g.n) == exact_modularity(g).q_star
+            assert exact_modularity(g, max_parts=g.n).q_star == exact_modularity(g).q_star
 
     def test_few_parts_inequalities_exact(self):
         # q*(1 - 1/k) <= q_{<=k} <= q*, in exact arithmetic
@@ -347,7 +368,7 @@ class TestExactModularityK:
             g = random_graph_sized(rng, 3, 8)
             q_star = exact_modularity(g).q_star
             for k in (1, 2, 3, 5):
-                qk = exact_modularity_k(g, k)
+                qk = exact_modularity(g, max_parts=k).q_star
                 assert qk >= q_star * Fraction(k - 1, k)
                 assert qk <= q_star
 
