@@ -4,9 +4,9 @@ and a reproducible experiment harness."""
 
 from .graph import (EdgeListFormatError, EmptyGraphError, Graph,
                     InvalidPartitionError, ModularityBreakdown, Partition,
-                    connected_components, induced_subgraph, modularity_exact,
-                    modularity_score, read_edgelist, read_partition,
-                    strip_isolated, write_edgelist, write_partition)
+                    connected_components, induced_subgraph, modularity_score,
+                    read_edgelist, read_partition, write_edgelist,
+                    write_partition)
 from .generators import (GeneratorSpec, LabeledGraph, Model, MTooLargeError,
                          RateOutOfRangeError, gen_gnm, gen_gnp, gen_planted,
                          sample, substream)
@@ -17,9 +17,8 @@ from .oracle import (COutOfRangeError, OracleResult, RobustnessCheck,
                      resolution_limit_check, robustness_check, solve_dual)
 from .spectral import (DENSE_CAP, GapEstimate, IsolatedVertexError,
                        PruneResult, SpectralSummary, TooLargeError,
-                       UpperWitness, discrepancy_audit, extremal_gap,
-                       normalized_laplacian, prune, spectral_summary,
-                       spectral_upper_witness)
+                       UpperWitness, discrepancy_audit, extremal_gap, prune,
+                       spectral_summary, spectral_upper_witness)
 from .experiments import (EXPERIMENTS, CheckOutcome, ExperimentConfig,
                           ExperimentResult, run_experiment, wilson_upper)
 

@@ -719,7 +719,7 @@ class Concentration(_Experiment):
     def task(self, options, base_seed, point_index, point, replicate):
         n, m = int(point["n"]), int(point["m"])
         g = gen_gnm(n, m, substream(base_seed, point_index, replicate))
-        q = exact_modularity(g).q_star_float
+        q = float(exact_modularity(g).q_star)
         return {"n": n, "m": m, "seed": replicate, "q_star": q}
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,10 +28,8 @@ __all__ = [
     "InvalidPartitionError",
     "EdgeListFormatError",
     "modularity_score",
-    "modularity_exact",
     "connected_components",
     "induced_subgraph",
-    "strip_isolated",
     "read_edgelist",
     "write_edgelist",
     "read_partition",
@@ -354,14 +351,6 @@ def modularity_score(g: Graph, p: Partition) -> ModularityBreakdown:
     return ModularityBreakdown(coverage, degree_tax, coverage - degree_tax)
 
 
-def modularity_exact(g: Graph, p: Partition) -> Fraction:
-    """Score as an exact rational (denominator divides 4m^2)."""
-    if g.m == 0:
-        raise EmptyGraphError("modularity score undefined for empty graphs")
-    e_in, ssq = _score_counts(g, p)
-    return Fraction(4 * g.m * e_in - ssq, 4 * g.m * g.m)
-
-
 def connected_components(g: Graph) -> Partition:
     """Partition into connected components, ids ordered by smallest vertex."""
     if g.n == 0:
@@ -377,6 +366,8 @@ def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
     of any dtype is the empty graph), re-indexed in ascending order of the
     original labels; the whole vertex set returns g itself."""
     keep = np.asarray(vertices)
+    if keep.ndim != 1:
+        raise ValueError(f"vertices must be a 1-D sequence, not {keep.ndim}-D")
     if keep.size and keep.dtype.kind not in "iu":
         raise ValueError(f"vertex ids must be integers, not {keep.dtype}")
     keep = keep.astype(np.int64, copy=False)
@@ -393,12 +384,6 @@ def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
     # the mask keeps the edges' order and the increasing relabel their u < v
     return Graph.from_arrays(int(keep.size), new_id[g.edge_u[sel]],
                              new_id[g.edge_v[sel]], _trusted=True)
-
-
-def strip_isolated(g: Graph) -> tuple[Graph, np.ndarray]:
-    """Drop isolated vertices; returns (subgraph, kept original indices)."""
-    kept = np.flatnonzero(g.deg > 0)
-    return induced_subgraph(g, kept), kept
 
 
 def _open(path_or_file, mode: str, newline: str | None = None):

@@ -93,10 +93,6 @@ class OracleResult:
         return ((self.q_star, self.partitions_scanned, self.optimal_partitions)
                 == (other.q_star, other.partitions_scanned, other.optimal_partitions))
 
-    @property
-    def q_star_float(self) -> float:
-        return float(self.q_star)
-
 
 @dataclass(frozen=True)
 class RobustnessCheck:

@@ -6,8 +6,8 @@ max(|1 - lambda_1|, |lambda_{n-1} - 1|).  Any k-part partition scores at
 most gap * (1 - 1/k), and every vertex subset S satisfies the discrepancy
 inequality e(S, ~S) >= (1 - gap) vol(S) vol(~S) / vol(G).
 
-Isolated vertices are a hard error here (D^{-1/2} is undefined); strip
-them first with graph.strip_isolated.  Disconnected graphs are allowed:
+Isolated vertices are a hard error here (D^{-1/2} is undefined); take the
+induced subgraph on the others first.  Disconnected graphs are allowed:
 the gap is then exactly 1, and the summary flags it.
 
 Two routes to the gap are kept deliberately independent: a dense LAPACK
@@ -36,7 +36,6 @@ __all__ = [
     "UpperWitness",
     "IsolatedVertexError",
     "TooLargeError",
-    "normalized_laplacian",
     "spectral_summary",
     "extremal_gap",
     "discrepancy_audit",
@@ -97,9 +96,9 @@ class PruneResult:
 class UpperWitness:
     """Composed upper bound on q*: lambda_bar of the pruned core plus the
     2 |E'| / m robustness correction for every deleted edge.  With the
-    extremal solver, `value` is an upper bound only to within about tol:
-    lambda_bar is then extremal_gap's estimate, which may read below the
-    true gap."""
+    extremal solver, `value` is not a proven upper bound: lambda_bar is then
+    extremal_gap's estimate, which may read below the true gap by more than
+    tol (see extremal_gap)."""
 
     lambda_bar: float
     removed_edges: int
@@ -114,10 +113,10 @@ def _check_spectral_pre(g: Graph) -> None:
         raise EmptyGraphError("spectral ops need at least one edge")
     if g.has_isolated_vertices():
         raise IsolatedVertexError(
-            "graph has isolated vertices; strip them first (graph.strip_isolated)")
+            "graph has isolated vertices; take the induced subgraph on the others first")
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
+def _normalized_laplacian(g: Graph) -> np.ndarray:
     """Dense L = I - D^{-1/2} A D^{-1/2}."""
     _check_spectral_pre(g)
     inv_sqrt = 1.0 / np.sqrt(g.deg.astype(np.float64))
@@ -133,7 +132,7 @@ def spectral_summary(g: Graph, cap: int = DENSE_CAP) -> SpectralSummary:
     _check_spectral_pre(g)
     if g.n > cap:
         raise TooLargeError(f"n={g.n} exceeds dense cap {cap}; use the extremal path")
-    eigenvalues = np.linalg.eigvalsh(normalized_laplacian(g))
+    eigenvalues = np.linalg.eigvalsh(_normalized_laplacian(g))
     gap = max(abs(1.0 - eigenvalues[1]), abs(eigenvalues[-1] - 1.0))
     connected = connected_components(g).k == 1
     return SpectralSummary(eigenvalues=eigenvalues, gap=float(gap), connected=connected)
@@ -147,7 +146,7 @@ def _normalized_adjacency_operator(g: Graph):
 
 
 def extremal_gap(g: Graph, tol: float = GAP_TOL) -> GapEstimate:
-    """Gap to additive accuracy ~tol by power iteration on the deflated
+    """Gap estimate by power iteration at tolerance tol on the deflated
     operator B = D^{-1/2} A D^{-1/2} - v v^T, v = D^{1/2} 1 / sqrt(2m).
 
     Iterates x <- B^2 x; the Ritz value rho = ||Bx||^2 climbs to gap^2 and
@@ -155,9 +154,10 @@ def extremal_gap(g: Graph, tol: float = GAP_TOL) -> GapEstimate:
     eigenvalue, giving the stopping rule r / (2 sqrt(rho)) <= tol, or
     unconverged after _GAP_MAX_ITER applications of B.  The start vector
     comes from substream(0, n, m), so the result depends on g alone.
-    A Rayleigh quotient of B^2 bounds gap^2 from below, so the estimate may
-    read below the true gap by up to about tol (9.5e-4 on a G(3000, 100/3000)
-    draw at tol 1e-3): it is not an upper bound on the gap.
+    The residual bounds the distance to some eigenvalue of B^2, not to the
+    largest, so the estimate may read more than tol low: 0.1953287 against
+    the dense gap 0.1970893 on gen_gnp(5000, 100/5000, substream(20250811,
+    0, 2)) at tol 1e-3.  No upper bound: see ROADMAP.md, a sound witness.
     A tol that is not > 0, which would run to the cap, raises ValueError.
     """
     if not tol > 0:
@@ -219,28 +219,16 @@ def _subset_stats_exhaustive(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def discrepancy_audit(g: Graph) -> float:
-    """Minimum slack of e(S,~S) - (1-gap) vol(S) vol(~S) / vol(G) over
-    audited subsets: all of them for n <= 20, else 2000 random subsets
-    drawn from substream(0).  The discrepancy inequality makes the result
-    >= 0, so an audit should never report materially negative slack.
-    """
-    summary = spectral_summary(g)
-    lam = summary.gap
-    vol_g = 2.0 * g.m
-    coeff = (1.0 - lam) / vol_g
-    if g.n <= 20:
-        cut, vol = _subset_stats_exhaustive(g)
-        slack = cut - coeff * vol * (2 * g.m - vol)
-        return float(slack.min())
-    rng = substream(0)
-    worst = 0.0  # S empty has slack exactly 0
-    for _ in range(2000):
-        member = rng.random(g.n) < 0.5
-        vol_s = float(g.deg[member].sum())
-        cut_s = float(np.count_nonzero(member[g.edge_u] != member[g.edge_v]))
-        slack = cut_s - coeff * vol_s * (vol_g - vol_s)
-        worst = min(worst, slack)
-    return worst
+    """Minimum slack of e(S,~S) - (1-gap) vol(S) vol(~S) / vol(G) over all
+    2^n vertex subsets (n > 20 raises TooLargeError before any solve); the
+    discrepancy inequality makes it >= 0 up to rounding."""
+    if g.n > 20:
+        raise TooLargeError(f"n={g.n} exceeds the exhaustive audit's limit of 20")
+    lam = spectral_summary(g).gap
+    coeff = (1.0 - lam) / (2.0 * g.m)
+    cut, vol = _subset_stats_exhaustive(g)
+    slack = cut - coeff * vol * (2 * g.m - vol)
+    return float(slack.min())
 
 
 def prune(g: Graph, p_model: float) -> PruneResult:

@@ -1,9 +1,11 @@
 """Seeded random-instance samplers shared across the test modules."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from modgraph.generators import substream
-from modgraph.graph import Graph, Partition
+from modgraph.graph import EmptyGraphError, Graph, Partition, _score_counts
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -38,3 +40,12 @@ def random_partition(rng: np.random.Generator, n: int) -> Partition:
 
 def make_rng(*key: int) -> np.random.Generator:
     return substream(0x5EED_CAFE, *key)
+
+
+def modularity_exact(g: Graph, p: Partition) -> Fraction:
+    """Score as an exact rational (denominator divides 4m^2): the reference
+    that the float scores and the oracle's q* are checked against."""
+    if g.m == 0:
+        raise EmptyGraphError("modularity score undefined for empty graphs")
+    e_in, ssq = _score_counts(g, p)
+    return Fraction(4 * g.m * e_in - ssq, 4 * g.m * g.m)

@@ -61,7 +61,7 @@ def test_criterion_02_spectral_soundness():
         rng = make_rng(101, i)
         g = random_connected_graph(rng, 4, 10)
         summary = spectral_summary(g)
-        q_star = exact_modularity(g).q_star_float
+        q_star = float(exact_modularity(g).q_star)
         worst_gap_slack = min(worst_gap_slack, summary.gap - q_star)
         assert q_star <= summary.gap + 1e-8
         for _ in range(50):

@@ -1,5 +1,6 @@
 """Experiment harness: config validation, record schemas, closed-form
-columns, CSV determinism across worker counts, and check wiring."""
+columns, CSV determinism across worker counts, check wiring, and the
+package's public names."""
 
 import glob
 import hashlib
@@ -8,10 +9,12 @@ import math
 import multiprocessing
 import os
 import re
+import types
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import modgraph
 from modgraph import experiments
 from modgraph.experiments import (EXPERIMENTS, ExperimentConfig, _batches,
                                   _Experiment, _usable_cpus, _worker_count,
@@ -201,9 +204,10 @@ class TestDeterminism:
         res.write_csv(buf)
         return buf.getvalue()
 
-    def test_byte_identical_across_runs_and_workers(self):
-        c = cfg(experiment="growth-rate", grid={"n": [600], "np": [8.0, 16.0]},
-                replicates=3, base_seed=17)
+    @pytest.mark.parametrize("name", ["growth-rate", "growth-rate-witness"])
+    def test_byte_identical_across_runs_and_workers(self, name):
+        # the GOLDEN_CSV configs, the witness one through the extremal solver
+        c = ExperimentConfig.from_dict(next(raw for key, raw, _ in GOLDEN_CSV if key == name))
         first = self._csv(c)
         assert first == self._csv(c)
         assert first == self._csv(c, threads=2)
@@ -579,3 +583,29 @@ def test_golden_csv_digest(raw, digest):
     buf = io.StringIO()
     res.write_csv(buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# Every public name of the package: a new export, or a dropped one, is a
+# reviewed edit of this set.
+PUBLIC_NAMES = {
+    "COutOfRangeError", "CheckOutcome", "DENSE_CAP", "EXPERIMENTS",
+    "EdgeListFormatError", "EmptyGraphError", "ExperimentConfig", "ExperimentResult",
+    "GapEstimate", "GeneratorSpec", "Graph", "InvalidPartitionError",
+    "IsolatedVertexError", "KTooSmallError", "LabeledGraph", "MTooLargeError", "Model",
+    "ModularityBreakdown", "OracleResult", "Partition", "PruneResult",
+    "RateOutOfRangeError", "RobustnessCheck", "SpectralSummary", "SwapTrace",
+    "TooLargeError", "TooSmallError", "UpperWitness", "connected_components",
+    "discrepancy_audit", "exact_modularity", "extremal_gap", "f_k", "gen_gnm", "gen_gnp",
+    "gen_planted", "induced_subgraph", "modularity_score", "optimal_connectivity_check",
+    "planted_partition", "prune", "read_edgelist", "read_partition",
+    "resolution_limit_check", "robustness_check", "run_experiment", "sample",
+    "solve_dual", "spectral_summary", "spectral_upper_witness", "substream",
+    "swap_bisection", "wilson_upper", "write_edgelist", "write_partition",
+}
+
+
+def test_public_names_pinned():
+    # submodules are attributes too, once imported; they are not exports
+    exported = {name for name, value in vars(modgraph).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES

@@ -15,12 +15,12 @@ from scipy.sparse import csr_matrix
 from modgraph.graph import (EdgeListFormatError, EmptyGraphError, Graph,
                             InvalidPartitionError, Partition, _sum_sq, _symmetric_csr,
                             connected_components, induced_subgraph,
-                            modularity_exact, modularity_score, read_edgelist,
-                            read_partition, strip_isolated, write_edgelist,
-                            write_partition)
+                            modularity_score, read_edgelist, read_partition,
+                            write_edgelist, write_partition)
 from modgraph.generators import gen_gnm
 
-from _samplers import random_graph_sized, random_partition, make_rng
+from _samplers import (make_rng, modularity_exact, random_graph_sized,
+                       random_partition)
 
 
 def path(n):
@@ -479,6 +479,12 @@ class TestSubgraphs:
                 assert sub.n == want.n and sub.edge_list() == want.edge_list()
         with pytest.raises(ValueError, match="out of range"):
             induced_subgraph(g, [5, 40, 3])
+        # only a 1-D selection: [[0], [2]] would otherwise select vertices 0
+        # and 2, and wider rows fail inside numpy's truth test
+        for vertices in ([[0], [2]], [[0, 1], [2, 3]], [[2, 3]], [[0, 1, 2, 3]],
+                         np.zeros((0, 2), dtype=np.int64), 2):
+            with pytest.raises(ValueError, match="1-D sequence"):
+                induced_subgraph(g, vertices)
 
     @pytest.mark.parametrize("vertices", [
         [0.9, 1.2], [True, False], np.array([0.0, 1.0]),
@@ -529,9 +535,10 @@ class TestSubgraphs:
         assert induced_subgraph(g, np.array([3, 7, 8, 30])).edge_list() == want.edge_list()
 
     def test_strip_isolated(self):
+        # the idiom that readies a graph with isolated vertices for the
+        # spectral operations
         g = Graph(5, [(1, 3)])
-        sub, kept = strip_isolated(g)
-        assert kept.tolist() == [1, 3]
+        sub = induced_subgraph(g, np.flatnonzero(g.deg > 0))
         assert sub.n == 2 and sub.edge_list() == [(0, 1)]
 
 

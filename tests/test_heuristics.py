@@ -10,12 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modgraph.generators import gen_gnp, gen_planted, substream
-from modgraph.graph import (EmptyGraphError, Graph, Partition,
-                            modularity_exact, modularity_score)
+from modgraph.graph import EmptyGraphError, Graph, Partition, modularity_score
 from modgraph.heuristics import (KTooSmallError, TooSmallError, f_k,
                                  planted_partition, swap_bisection)
 
-from _samplers import random_graph
+from _samplers import modularity_exact, random_graph
 
 
 def odd_even_bisection(n: int) -> Partition:

@@ -14,13 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from modgraph import oracle
 from modgraph.experiments import EXPERIMENTS
-from modgraph.graph import EmptyGraphError, Graph, Partition, modularity_exact
+from modgraph.graph import EmptyGraphError, Graph, Partition
 from modgraph.oracle import (COutOfRangeError, exact_modularity,
                              optimal_connectivity_check, resolution_limit_check,
                              robustness_check, solve_dual)
 from modgraph.spectral import TooLargeError
 
-from _samplers import random_connected_graph, random_graph_sized, make_rng
+from _samplers import (make_rng, modularity_exact, random_connected_graph,
+                       random_graph_sized)
 
 
 def complete(n):

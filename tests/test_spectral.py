@@ -9,16 +9,20 @@ import pytest
 
 from modgraph import graph as graph_module, spectral
 from modgraph.generators import gen_gnp, substream
-from modgraph.graph import (EmptyGraphError, Graph, Partition,
-                            modularity_score, strip_isolated)
+from modgraph.graph import (EmptyGraphError, Graph, Partition, induced_subgraph,
+                            modularity_score)
 from modgraph.oracle import exact_modularity
 from modgraph.spectral import (IsolatedVertexError, TooLargeError,
-                               discrepancy_audit, extremal_gap,
-                               normalized_laplacian, prune, spectral_summary,
+                               _normalized_laplacian, discrepancy_audit,
+                               extremal_gap, prune, spectral_summary,
                                spectral_upper_witness)
 
 from _samplers import (random_connected_graph, random_graph_sized,
                        random_partition, make_rng)
+
+
+def _non_isolated(g):
+    return induced_subgraph(g, np.flatnonzero(g.deg > 0))
 
 
 def complete(n):
@@ -72,7 +76,7 @@ class TestSpectralSummary:
 
     def test_eigenvalue_ranges_and_trace(self):
         for i in range(40):
-            g, _ = strip_isolated(random_graph_sized(make_rng(20, i), 3, 14))
+            g = _non_isolated(random_graph_sized(make_rng(20, i), 3, 14))
             if g.m == 0:
                 continue
             s = spectral_summary(g)
@@ -86,7 +90,7 @@ class TestSpectralSummary:
     def test_eigenpair_residuals(self):
         # the dense route must return true eigenpairs: residual <= 1e-7
         for g in BATTERY:
-            lap = normalized_laplacian(g)
+            lap = _normalized_laplacian(g)
             w, vecs = np.linalg.eigh(lap)
             for j in range(g.n):
                 r = np.linalg.norm(lap @ vecs[:, j] - w[j] * vecs[:, j])
@@ -138,8 +142,7 @@ class TestExtremalGap:
         n, npv = 2000, 100.0
         good = 0
         for i in range(100):
-            g = gen_gnp(n, npv / n, substream(901, i))
-            g, _ = strip_isolated(g)
+            g = _non_isolated(gen_gnp(n, npv / n, substream(901, i)))
             est = extremal_gap(g, tol=1e-2)
             good += est.value <= 5.0 / math.sqrt(npv)
         assert good >= 95
@@ -179,7 +182,7 @@ class TestModularityBound:
     def test_oracle_below_gap(self):
         for i in range(30):
             g = random_connected_graph(make_rng(24, i), 4, 9)
-            assert exact_modularity(g).q_star_float <= spectral_summary(g).gap + 1e-8
+            assert float(exact_modularity(g).q_star) <= spectral_summary(g).gap + 1e-8
 
 
 class TestDiscrepancyAudit:
@@ -195,15 +198,16 @@ class TestDiscrepancyAudit:
 
     def test_random_graphs_exhaustive(self):
         for i in range(60):
-            g, _ = strip_isolated(random_graph_sized(make_rng(25, i), 3, 12))
+            g = _non_isolated(random_graph_sized(make_rng(25, i), 3, 12))
             if g.m == 0:
                 continue
             assert discrepancy_audit(g) >= -1e-8
 
-    def test_sampled_path(self):
-        g = gen_gnp(120, 0.1, substream(903))
-        g, _ = strip_isolated(g)
-        assert discrepancy_audit(g) >= -1e-8
+    def test_above_exhaustive_limit(self, monkeypatch):
+        # past 20 vertices there is no audit, and no dense solve is spent
+        monkeypatch.setattr(spectral, "spectral_summary", lambda g: pytest.fail("solved"))
+        with pytest.raises(TooLargeError, match="n=21"):
+            discrepancy_audit(cycle(21))
 
 
 class TestPrune:
@@ -272,7 +276,7 @@ class TestUpperWitness:
         for i in range(20):
             g = random_connected_graph(make_rng(26, i), 5, 9)
             w = spectral_upper_witness(g, p_model=0.5, method="dense")
-            assert exact_modularity(g).q_star_float <= w.value + 1e-8
+            assert float(exact_modularity(g).q_star) <= w.value + 1e-8
 
     def test_degenerate_prune_returns_two(self):
         star = Graph(101, [(0, i) for i in range(1, 101)])
