@@ -25,17 +25,17 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, fields
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import _open, connected_components, modularity_score
+from .graph import _component_edges, _open, connected_components, modularity_score
 from .generators import gen_gnm, gen_gnp, gen_planted, substream
 from .heuristics import f_k, planted_partition, swap_bisection
 from .oracle import ORACLE_CAP, exact_modularity, solve_dual
-from .spectral import WITNESS_METHODS, TooLargeError, spectral_upper_witness
+from .spectral import WITNESS_METHODS, WITNESS_TOL, TooLargeError, spectral_upper_witness
 
 __all__ = [
     "ExperimentConfig",
@@ -70,6 +70,19 @@ def _kind(value) -> str:
         return "a list of numbers"
     return type(value).__name__
 
+
+# Each kind of assertion value, with its test.  A check's own key may also
+# be false, which turns the check off.
+_ASSERTION_KINDS = {
+    "a number": lambda value: _kind(value) == "a number",
+    "true": lambda value: value is True,
+    "a list of two numbers":
+        lambda value: _kind(value) == "a list of numbers" and len(value) == 2,
+    "an object of numbers: bound_factor, optional min_fraction":
+        lambda value: (isinstance(value, dict) and "bound_factor" in value
+                       and set(value) <= {"bound_factor", "min_fraction"}
+                       and all(_kind(x) == "a number" for x in value.values())),
+}
 
 _FLOAT_FMT = "%.12g"
 
@@ -162,13 +175,23 @@ class ExperimentConfig:
             if _kind(value) != want:
                 raise ValueError(f"option {key} must be {want}, not {value!r}")
         self.options = {**exp.option_defaults, **self.options}
+        for check in exp.checks:
+            on = self.assertions.get(check.name, False)
+            if on is not False and not _ASSERTION_KINDS[check.kind](on):
+                raise ValueError(f"assertion {check.name} must be {check.kind}, not {on!r}")
+            for key in check.params:
+                if key not in self.assertions:
+                    continue
+                if on is False:
+                    raise ValueError(f"assertion {key} needs assertion {check.name}")
+                if _kind(self.assertions[key]) != "a number":
+                    raise ValueError(f"assertion {key} must be a number, "
+                                     f"not {self.assertions[key]!r}")
         exp.validate(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"experiment", "grid", "replicates", "base_seed", "output",
-                 "options", "assertions"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
@@ -351,16 +374,18 @@ class Check:
     all of them when not per_point.  A stat of None fails; limits of None
     leave the point out.
 
-    The check runs when the config sets `name` to anything but false
-    (`params` are further assertion keys it reads), or, given `when`, when
-    when(cfg) holds.  `summary` = key also stores each point's stat in the
-    summary, under the point's label."""
+    The check runs when the config sets `name` to a value of `kind` (one
+    of _ASSERTION_KINDS) rather than false, or, given `when`, when
+    when(cfg) holds.  `params` are further assertion keys it reads, each a
+    number and allowed only with the check on.  `summary` = key also
+    stores each point's stat in the summary, under the point's label."""
 
     name: str
     stat: Callable[[Groups, ExperimentConfig], Optional[float]]
     limits: Callable[[dict, ExperimentConfig], Optional[Sequence[float]]]
     _: KW_ONLY
     per_point: bool = True
+    kind: str = "a number"
     params: tuple[str, ...] = ()
     when: Optional[Callable[[ExperimentConfig], Any]] = None
     summary: Optional[str] = None
@@ -453,13 +478,14 @@ class GrowthRate(_Experiment):
 
     name = "growth-rate"
     grid = ("n", "np")
-    option_defaults = {"upper_witness": False, "solver": "extremal", "tol": 1e-3}
+    option_defaults = {"upper_witness": False, "solver": "extremal", "tol": WITNESS_TOL}
     edge_rates = (("np", itemgetter("np")),)
     summary = {"medians": _rows(("n", "np"), median_q_swap=_median_q_swap),
                "slope": _q_swap_slope}
     checks = (
         Check("slope_range", _q_swap_slope,
-              lambda point, cfg: cfg.assertions["slope_range"], per_point=False),
+              lambda point, cfg: cfg.assertions["slope_range"], per_point=False,
+              kind="a list of two numbers"),
         Check("min_median_factor", _median_q_swap, _growth_floor,
               params=("min_median_np",)),
         share("witness_bound",
@@ -467,6 +493,7 @@ class GrowthRate(_Experiment):
                   cfg.assertions["witness_bound"]["bound_factor"]) / math.sqrt(r["np"]),
               need=lambda cfg: float(
                   cfg.assertions["witness_bound"].get("min_fraction", 0.9)),
+              kind="an object of numbers: bound_factor, optional min_fraction",
               summary="witness_pass_fraction"),
         share("lower_le_upper", lambda r, cfg: r["q_swap"] <= r["upper_witness"] + 1e-8,
               when=lambda cfg: cfg.options["upper_witness"]),
@@ -476,7 +503,6 @@ class GrowthRate(_Experiment):
         if min(cfg.grid["n"]) < 6:
             raise ValueError("n must be >= 6 for swap bisection")
         if not cfg.options["tol"] > 0:
-            # a tol of 0 or less runs every witness to the iteration cap
             raise ValueError(f"tol must be positive, not {cfg.options['tol']!r}")
         if "witness_bound" in cfg.assertions and not cfg.options["upper_witness"]:
             raise ValueError("witness_bound assertion needs options.upper_witness")
@@ -522,7 +548,8 @@ class SparsePhase(_Experiment):
               params=("fraction",)),
         share("matching_consistent",
               lambda r, cfg: (not r["is_matching"]
-                              or abs(r["q_cc"] - r["q_matching_theory"]) <= 1e-12)),
+                              or abs(r["q_cc"] - r["q_matching_theory"]) <= 1e-12),
+              kind="true"),
     )
 
     def task(self, options, base_seed, point_index, point, replicate):
@@ -536,9 +563,8 @@ class SparsePhase(_Experiment):
             return rec
         comp = connected_components(g)
         q_cc = modularity_score(g, comp).score
-        comp_edges = np.bincount(comp.assign[g.edge_u], minlength=comp.k)
-        # in a simple graph a 2-vertex component is one edge, a 1-vertex one none
-        is_matching = bool(comp.part_sizes().max() <= 2)
+        largest = int(_component_edges(g, comp).max())
+        is_matching = largest <= 1
         d = 2.0 * g.m / n
         rec.update({
             "q_cc": q_cc,
@@ -548,7 +574,7 @@ class SparsePhase(_Experiment):
             "is_matching": is_matching,
             "q_matching_theory": (1.0 - 1.0 / g.m) if is_matching else None,
             "n_components": comp.k,
-            "largest_component_edges": int(comp_edges.max()),
+            "largest_component_edges": largest,
         })
         return rec
 
@@ -666,7 +692,7 @@ class SbmDistinguish(_Experiment):
         score = modularity_score(lg.graph, planted_partition(lg)).score
         c_bar = 0.5 * (alpha + beta)
         g = gen_gnp(n, c_bar / n, substream(base_seed, point_index, replicate, 1))
-        witness = spectral_upper_witness(g, c_bar / n, method="extremal", tol=1e-3)
+        witness = spectral_upper_witness(g, c_bar / n, method="extremal", tol=WITNESS_TOL)
         return {"n": n, "alpha": alpha, "beta": beta,
                 "seed": replicate, "planted_score": score,
                 "witness": witness.value,
@@ -705,9 +731,13 @@ class Concentration(_Experiment):
     summary = {"tails": _tails}
     checks = (Check("tails_ok", lambda groups, cfg: _agg(np.mean, (
                         row["ok"] for row in _tails(groups, cfg))),
-                    lambda point, cfg: (1.0, 1.0)),)
+                    lambda point, cfg: (1.0, 1.0), kind="true"),)
 
     def validate(self, cfg):
+        t_values = cfg.options["t_values"]
+        if not t_values or min(t_values) <= 0:
+            raise ValueError(f"t_values must be a non-empty list of numbers > 0, "
+                             f"not {t_values!r}")
         for n in cfg.grid["n"]:
             if n > ORACLE_CAP:
                 raise TooLargeError(f"n={n} above oracle cap {ORACLE_CAP}")
@@ -742,7 +772,7 @@ class IsolatedEdges(_Experiment):
     summary = {"ratios": _rows(("n", "c"), mean_ratio=_of(np.mean, "ratio"),
                                prediction=_of(lambda values: values[0], "prediction"))}
     checks = (
-        share("floor_all_ok", lambda r, cfg: r["floor_ok"] is not False),
+        share("floor_all_ok", lambda r, cfg: r["floor_ok"] is not False, kind="true"),
         Check("ratio_band", _of(np.mean, "ratio"), _first_moment_limits),
     )
 

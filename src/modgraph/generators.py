@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .graph import _BLOCK, Graph, _index_dtype
+from .graph import _BLOCK, Graph, TooLargeError, _index_dtype
 
 __all__ = [
     "Model",
@@ -211,7 +211,7 @@ def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     an ulp, so the inverse is exact there; being monotone in q, it is
     never a row late, and near a row's start it can be one row early,
     which one step corrects.  Exact for n <= 3,037,000,499, where
-    u(2n-1-u) fits in int64."""
+    u(2n-1-u) fits in int64; the generators refuse a larger n."""
     dtype = _index_dtype(n)
     if pos.size == 0:
         return np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
@@ -234,11 +234,19 @@ def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u.astype(dtype, copy=False), v.astype(dtype)
 
 
+def _check_n(n: int) -> None:
+    """A generator's n: at least 1, and at most 3,037,000,499, where
+    _pairs_from_index is exact.  Checked before any n-sized allocation."""
+    if n > 3_037_000_499:
+        raise TooLargeError(f"n={n} exceeds 3037000499, the pair decoder's exact range")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def gen_gnp(n: int, p: float, seed) -> Graph:
     """G(n,p): each of the n(n-1)/2 pairs is an edge independently with
     probability p.  Deterministic given (n, p, seed)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     rng = _rng(seed)
@@ -260,8 +268,7 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
 def gen_gnm(n: int, m: int, seed) -> Graph:
     """G(n,m): uniform over m-edge graphs, via Floyd's subset sampling of
     pair indices.  Deterministic given (n, m, seed)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
     count = n * (n - 1) // 2
     if not (0 <= m <= count):
         raise MTooLargeError(f"m={m} exceeds pair count {count}")
@@ -283,8 +290,7 @@ def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph
     """Planted k-block graph: labels iid uniform on 0..k-1; a pair is an edge
     with probability alpha/n when the labels agree and beta/n otherwise.
     Labels are retained in the output (callers may discard them)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
     if not (0.0 < alpha <= n):
         raise RateOutOfRangeError("alpha/n must lie in (0, 1]")
     if not (0.0 <= beta <= n):

@@ -27,6 +27,7 @@ __all__ = [
     "EmptyGraphError",
     "InvalidPartitionError",
     "EdgeListFormatError",
+    "TooLargeError",
     "modularity_score",
     "connected_components",
     "induced_subgraph",
@@ -43,6 +44,10 @@ class EmptyGraphError(ValueError):
 
 class InvalidPartitionError(ValueError):
     """Raised when a partition does not satisfy an operation's precondition."""
+
+
+class TooLargeError(ValueError):
+    """Input above a size limit: a solver's or the oracle's cap, a range."""
 
 
 class EdgeListFormatError(ValueError):
@@ -359,6 +364,11 @@ def connected_components(g: Graph) -> Partition:
 
     _, labels = _cc(_upper_csr(g, np.ones(g.m, dtype=np.int8)), directed=False)
     return Partition.from_labels(labels)
+
+
+def _component_edges(g: Graph, comps: Partition) -> np.ndarray:
+    """Edges per part of comps = connected_components(g), placed by edge_u."""
+    return np.bincount(comps.assign[g.edge_u], minlength=comps.k)
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:

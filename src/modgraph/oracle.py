@@ -39,9 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import (EmptyGraphError, Graph, Partition, connected_components,
-                    induced_subgraph)
-from .spectral import TooLargeError
+from .graph import (EmptyGraphError, Graph, Partition, TooLargeError,
+                    _component_edges, connected_components, induced_subgraph)
 
 __all__ = [
     "OracleResult",
@@ -246,10 +245,8 @@ def resolution_limit_check(g: Graph) -> bool:
         raise EmptyGraphError("resolution limit needs at least one edge")
     result = exact_modularity(g)
     comps = connected_components(g)
-    comp_edges = np.bincount(comps.assign[g.edge_u], minlength=comps.k)
-    small = [np.flatnonzero(comps.assign == c)
-             for c in range(comps.k)
-             if int(comp_edges[c]) ** 2 < 2 * g.m]
+    edges = _component_edges(g, comps)
+    small = [np.flatnonzero(comps.assign == c) for c in np.flatnonzero(edges ** 2 < 2 * g.m)]
     for part in result.optimal_partitions:
         for members in small:
             ids = part.assign[members]

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import substream
-from .graph import (EmptyGraphError, Graph, _symmetric_csr, connected_components,
-                    induced_subgraph)
+from .graph import (EmptyGraphError, Graph, TooLargeError, _component_edges,
+                    _symmetric_csr, connected_components, induced_subgraph)
 
 __all__ = [
     "DENSE_CAP",
@@ -35,7 +35,6 @@ __all__ = [
     "GapEstimate",
     "UpperWitness",
     "IsolatedVertexError",
-    "TooLargeError",
     "spectral_summary",
     "extremal_gap",
     "discrepancy_audit",
@@ -47,14 +46,11 @@ DENSE_CAP = 4000
 GAP_TOL = 1e-6
 _GAP_MAX_ITER = 200_000
 WITNESS_METHODS = ("auto", "dense", "extremal")
+WITNESS_TOL = 1e-3
 
 
 class IsolatedVertexError(ValueError):
     """D^{-1/2} undefined: the graph has a degree-0 vertex."""
-
-
-class TooLargeError(ValueError):
-    """Graph exceeds the dense-solver cap (or an oracle cap)."""
 
 
 @dataclass(frozen=True)
@@ -117,8 +113,7 @@ def _check_spectral_pre(g: Graph) -> None:
 
 
 def _normalized_laplacian(g: Graph) -> np.ndarray:
-    """Dense L = I - D^{-1/2} A D^{-1/2}."""
-    _check_spectral_pre(g)
+    """Dense L = I - D^{-1/2} A D^{-1/2}; g must pass _check_spectral_pre."""
     inv_sqrt = 1.0 / np.sqrt(g.deg.astype(np.float64))
     lap = np.eye(g.n)
     w = inv_sqrt[g.edge_u] * inv_sqrt[g.edge_v]
@@ -263,7 +258,7 @@ def prune(g: Graph, p_model: float) -> PruneResult:
 
 
 def spectral_upper_witness(g: Graph, p_model: float, *, method: str = "auto",
-                           tol: float = 1e-3) -> UpperWitness:
+                           tol: float = WITNESS_TOL) -> UpperWitness:
     """Upper bound on q*(G): prune, keep the heaviest connected component H'
     of the core (edges of everything else count as deleted), then
     gap(H') + 2 |deleted| / m.
@@ -284,8 +279,7 @@ def spectral_upper_witness(g: Graph, p_model: float, *, method: str = "auto",
         return UpperWitness(lambda_bar=0.0, removed_edges=g.m, removed_fraction=1.0,
                             value=2.0, converged=True, kept_vertices=0)
     comps = connected_components(core)
-    edge_counts = np.bincount(comps.assign[core.edge_u], minlength=comps.k)
-    heavy = int(np.argmax(edge_counts))
+    heavy = int(np.argmax(_component_edges(core, comps)))
     sub = induced_subgraph(core, np.flatnonzero(comps.assign == heavy))
     removed = g.m - sub.m
     if method == "dense" or (method == "auto" and sub.n <= DENSE_CAP):

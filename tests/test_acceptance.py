@@ -2,17 +2,19 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Large-n "with high
 probability" claims are checked as replicate majorities at the sizes and
-tolerances pinned below; everything else is exact or property-based.
+tolerances of the shipped configs/*acceptance*.json sweeps, which these
+tests run; everything else is exact or property-based.
 """
 
 import itertools
 import math
+import os
 import time
 from fractions import Fraction
 
 import pytest
 
-from modgraph.experiments import ExperimentConfig, run_experiment
+from modgraph.experiments import ExperimentConfig, _usable_cpus, run_experiment
 from modgraph.generators import gen_gnp, substream
 from modgraph.graph import Graph, modularity_score
 from modgraph.heuristics import f_k
@@ -25,9 +27,19 @@ from _samplers import (make_rng, random_connected_graph, random_graph_sized,
 
 pytestmark = pytest.mark.acceptance
 
+# workers for the three long sweeps; a sweep's bytes are the same on any count
+THREADS = _usable_cpus() or 1
+
 
 def _report(criterion: int, detail: str) -> None:
     print(f"PASS criterion {criterion}: {detail}")
+
+
+def _config(name: str) -> ExperimentConfig:
+    """The shipped sweep configs/<name>.json; run_experiment does not write
+    its `output`."""
+    return ExperimentConfig.from_file(
+        os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json"))
 
 
 def complete(n):
@@ -130,17 +142,7 @@ def test_criterion_03_robustness_suites():
 
 def test_criterion_04_growth_rate():
     t0 = time.time()
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "growth-rate",
-        "grid": {"n": [100_000], "np": [16.0, 32.0, 64.0, 128.0, 256.0,
-                                        512.0, 1024.0]},
-        "replicates": 20,
-        "base_seed": 20250810,
-        "assertions": {"slope_range": [-0.6, -0.4],
-                       "min_median_factor": 0.15,
-                       "min_median_np": 25.0},
-    })
-    result = run_experiment(cfg)
+    result = run_experiment(_config("growth_rate_acceptance"), threads=THREADS)
     elapsed = time.time() - t0
     assert result.passed, [c for c in result.checks if not c.passed]
     assert elapsed < 900.0
@@ -150,16 +152,7 @@ def test_criterion_04_growth_rate():
 
 def test_criterion_05_upper_witness():
     t0 = time.time()
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "growth-rate",
-        "grid": {"n": [5000], "np": [100.0]},
-        "replicates": 100,
-        "base_seed": 20250811,
-        "options": {"upper_witness": True, "solver": "extremal", "tol": 1e-3},
-        "assertions": {"witness_bound": {"bound_factor": 6.0,
-                                         "min_fraction": 0.95}},
-    })
-    result = run_experiment(cfg)
+    result = run_experiment(_config("upper_witness_acceptance"), threads=THREADS)
     elapsed = time.time() - t0
     assert result.passed, [c for c in result.checks if not c.passed]
     frac = result.summary["witness_pass_fraction"]["n=5000 np=100.0"]
@@ -173,14 +166,7 @@ def test_criterion_05_upper_witness():
 
 def test_criterion_06_sparse_phase():
     t0 = time.time()
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "sparse",
-        "grid": {"n": [100_000], "np": [0.5]},
-        "replicates": 20,
-        "base_seed": 20250812,
-        "assertions": {"min_qcc": 0.999, "fraction": 1.0},
-    })
-    result = run_experiment(cfg)
+    result = run_experiment(_config("sparse_acceptance"))
     elapsed = time.time() - t0
     assert result.passed, result.checks
     assert elapsed < 60.0
@@ -190,14 +176,7 @@ def test_criterion_06_sparse_phase():
 
 def test_criterion_07_threshold_window():
     t0 = time.time()
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "threshold-window",
-        "grid": {"n": [1_000_000], "eps": [0.15, 0.2, 0.25]},
-        "replicates": 20,
-        "base_seed": 20250813,
-        "assertions": {"window_fraction": 0.9},
-    })
-    result = run_experiment(cfg)
+    result = run_experiment(_config("threshold_window_acceptance"), threads=THREADS)
     elapsed = time.time() - t0
     assert result.passed, result.checks
     rates = result.summary["in_window_fraction"]
@@ -230,25 +209,11 @@ def test_criterion_08_table_reproduction():
 
 def test_criterion_09_planted_scores():
     t0 = time.time()
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "planted",
-        "grid": {"n": [100_000], "c": [4.0], "k": [2]},
-        "replicates": 20,
-        "base_seed": 20250814,
-        "assertions": {"mean_tolerance": 0.01},
-    })
-    res2 = run_experiment(cfg)
+    res2 = run_experiment(_config("planted_acceptance_c4_k2"))
     assert res2.passed, res2.checks
     mean2 = res2.summary["means"][0]["mean_score"]
 
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "planted",
-        "grid": {"n": [100_000], "c": [9.0], "k": [6]},
-        "replicates": 20,
-        "base_seed": 20250815,
-        "assertions": {"mean_tolerance": 0.01},
-    })
-    res6 = run_experiment(cfg)
+    res6 = run_experiment(_config("planted_acceptance_c9_k6"))
     assert res6.passed, res6.checks
     mean6 = res6.summary["means"][0]["mean_score"]
     elapsed = time.time() - t0
@@ -260,15 +225,7 @@ def test_criterion_09_planted_scores():
 
 def test_criterion_10_concentration():
     t0 = time.time()
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "concentration",
-        "grid": {"n": [8], "m": [10]},
-        "replicates": 2000,
-        "base_seed": 20250816,
-        "options": {"t_values": [0.2, 0.4, 0.6]},
-        "assertions": {"tails_ok": True},
-    })
-    result = run_experiment(cfg)
+    result = run_experiment(_config("concentration_acceptance"))
     elapsed = time.time() - t0
     assert result.passed, result.summary["tails"]
     rows = {r["t"]: r for r in result.summary["tails"]}

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from modgraph.cli import build_parser, main
+from modgraph.experiments import EXPERIMENTS
 from modgraph.graph import read_edgelist
 from modgraph.oracle import ORACLE_CAP
 from modgraph.spectral import GapEstimate
@@ -165,6 +166,45 @@ class TestInputErrors:
         # each range joins two grid keys, so it is checked per grid point
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": experiment, "grid": grid}))
+        assert main([experiment, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert word in err
+
+    @pytest.mark.parametrize("experiment, over, word", [
+        ("sparse", {"assertions": {"min_qcc": "high"}},
+         "assertion min_qcc must be a number, not 'high'"),
+        ("growth-rate", {"assertions": {"slope_range": [-0.6]}},
+         "assertion slope_range must be a list of two numbers, not [-0.6]"),
+        ("growth-rate", {"assertions": {"min_median_np": 25.0}},
+         "assertion min_median_np needs assertion min_median_factor"),
+        ("sparse", {"assertions": {"min_qcc": False, "fraction": 0.5}},
+         "assertion fraction needs assertion min_qcc"),
+        ("sparse", {"assertions": {"min_qcc": 0.9, "fraction": "all"}},
+         "assertion fraction must be a number, not 'all'"),
+        ("concentration", {"assertions": {"tails_ok": 1}},
+         "assertion tails_ok must be true, not 1"),
+        ("growth-rate", {"options": {"upper_witness": True},
+                         "assertions": {"witness_bound": {"bound_factor": "6"}}},
+         "assertion witness_bound must be an object of numbers"),
+        ("growth-rate", {"options": {"upper_witness": True},
+                         "assertions": {"witness_bound": {"min_fraction": 0.9}}},
+         "assertion witness_bound must be an object of numbers"),
+        ("concentration", {"options": {"t_values": []}},
+         "t_values must be a non-empty list of numbers > 0, not []"),
+        ("concentration", {"options": {"t_values": [0.2, -0.1]}},
+         "t_values must be a non-empty list of numbers > 0")])
+    def test_config_refused_before_any_task(self, tmp_path, capsys, monkeypatch,
+                                            experiment, over, word):
+        # each of these used to fail only after the sweep, or assert nothing
+        def task(*args):
+            raise AssertionError("a task ran")
+        monkeypatch.setattr(EXPERIMENTS[experiment], "task", task)
+        grid = {"sparse": {"n": [500], "np": [0.5]},
+                "growth-rate": {"n": [600], "np": [8.0, 16.0]},
+                "concentration": {"n": [6], "m": [5]}}[experiment]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment, "grid": grid, **over}))
         assert main([experiment, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -170,6 +170,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="negative rates"):
             cfg(experiment="planted", grid={"n": [100], "c": [0.5], "k": [6]})
 
+    def test_false_turns_a_check_off(self):
+        c = cfg(assertions={"min_qcc": False, "matching_consistent": True})
+        assert [check.name for check in run_experiment(c).checks] == ["matching_consistent"]
+
     def test_witness_assertion_needs_witness_option(self):
         with pytest.raises(ValueError, match="needs options.upper_witness"):
             cfg(experiment="growth-rate", grid={"n": [100], "np": [4.0]},
@@ -471,13 +475,13 @@ class TestConcentration:
     def test_tails_under_bound(self):
         c = cfg(experiment="concentration", grid={"n": [8], "m": [10]},
                 replicates=300, base_seed=41,
-                options={"t_values": [0.0, 0.2, 0.4, 0.6, 1.0]},
+                options={"t_values": [0.2, 0.4, 0.6, 1.0]},
                 assertions={"tails_ok": True})
         res = run_experiment(c)
         assert res.passed
         rows = {row["t"]: row for row in res.summary["tails"]}
-        assert rows[0.0]["bound"] == pytest.approx(2.0)  # trivially satisfied
-        assert rows[1.0]["empirical_tail"] == 0.0        # q* lives in [0, 1)
+        assert rows[0.2]["bound"] == pytest.approx(2.0 * math.exp(-0.2))  # 2 exp(-t^2 m / 2)
+        assert rows[1.0]["empirical_tail"] == 0.0  # q* lives in [0, 1)
 
     def test_wilson_upper(self):
         assert wilson_upper(0, 100) < 0.09

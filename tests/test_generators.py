@@ -16,7 +16,7 @@ from modgraph.generators import (GeneratorSpec, LabeledGraph, Model,
                                  _bernoulli_positions, _pairs_from_index,
                                  gen_gnm, gen_gnp, gen_planted, sample,
                                  substream)
-from modgraph.graph import _BLOCK, Graph, modularity_score
+from modgraph.graph import _BLOCK, Graph, TooLargeError, modularity_score
 from modgraph.heuristics import swap_bisection
 
 
@@ -185,6 +185,15 @@ class TestPairDecoding:
             u, v = _pairs_from_index(pos[lo:hi], n)
             assert np.array_equal(u, ref_u[lo:hi]) and np.array_equal(v, ref_v[lo:hi])
         assert ref_u[0] == 0 and ref_u[-1] == n - 2 and ref_v[-1] == n - 1
+
+    @pytest.mark.parametrize("draw", [
+        lambda n: gen_gnp(n, 0.0, 1), lambda n: gen_gnm(n, 0, 1),
+        lambda n: gen_planted(n, 1.0, 0.0, 2, 1)], ids=["gnp", "gnm", "planted"])
+    def test_n_past_exact_range_refused(self, draw):
+        # one past the largest n above; refused before any n-sized array,
+        # where the degrees alone would take 24 GB
+        with pytest.raises(TooLargeError, match="n=3037000500 exceeds 3037000499"):
+            draw(3_037_000_500)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_positions(self, n):
