@@ -31,7 +31,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import _component_edges, _open, connected_components, modularity_score
+from .graph import (_INTEGER, _NUMBER, _STRING, _Rule, _component_edges, _open,
+                    connected_components, modularity_score)
 from .generators import gen_gnm, gen_gnp, gen_planted, substream
 from .heuristics import f_k, planted_partition, swap_bisection
 from .oracle import ORACLE_CAP, exact_modularity, solve_dual
@@ -47,41 +48,43 @@ __all__ = [
 ]
 
 
-# Per grid key: whether its values must be integers (else any number), and
-# the range they must lie in, as text and as a test.
-_GRID_VALUES = {
-    "n": (True, ">= 1", lambda x: x >= 1),
-    "m": (True, ">= 0", lambda x: x >= 0),
-    "k": (True, ">= 2", lambda x: x >= 2),
-    "np": (False, "positive", lambda x: x > 0),
-    "c": (False, "positive", lambda x: x > 0),
-    "alpha": (False, "positive", lambda x: x > 0),
-    "beta": (False, ">= 0", lambda x: x >= 0),
-    "eps": (False, "in (0, 1)", lambda x: 0 < x < 1),
-}
+_NUMBERS = ("a list of numbers",
+            lambda value: isinstance(value, (list, tuple)) and all(map(_NUMBER[1], value)))
+_OBJECT = _Rule(("an object", lambda value: isinstance(value, dict)))
+_GRID_LIST = _Rule(("a non-empty list", lambda value: isinstance(value, list) and len(value) > 0))
 
-
-def _kind(value) -> str:
-    """A config value's JSON kind; an option's value must match its default's."""
-    for kind, types in (("a boolean", bool), ("a number", (int, float)), ("a string", str)):
-        if isinstance(value, types):
-            return kind
-    if isinstance(value, (list, tuple)) and all(_kind(x) == "a number" for x in value):
-        return "a list of numbers"
-    return type(value).__name__
-
-
-# Each kind of assertion value, with its test.  A check's own key may also
-# be false, which turns the check off.
-_ASSERTION_KINDS = {
-    "a number": lambda value: _kind(value) == "a number",
-    "true": lambda value: value is True,
-    "a list of two numbers":
-        lambda value: _kind(value) == "a list of numbers" and len(value) == 2,
-    "an object of numbers: bound_factor, optional min_fraction":
-        lambda value: (isinstance(value, dict) and "bound_factor" in value
-                       and set(value) <= {"bound_factor", "min_fraction"}
-                       and all(_kind(x) == "a number" for x in value.values())),
+# The rule of each config value by its key: the top-level fields, then
+# every grid, option and assertion key of any experiment (an experiment's
+# `rules` may replace one).  The experiment's own rule is _EXPERIMENT.
+_RULES = {
+    **dict.fromkeys(("replicates", "n"), _Rule(_INTEGER, (">= 1", lambda x: x >= 1))),
+    **dict.fromkeys(("base_seed", "m"), _Rule(_INTEGER, (">= 0", lambda x: x >= 0))),
+    "k": _Rule(_INTEGER, (">= 2", lambda x: x >= 2)),
+    **dict.fromkeys(("np", "c", "alpha", "tol"), _Rule(_NUMBER, ("positive", lambda x: x > 0))),
+    **dict.fromkeys(("beta", "mean_tolerance", "ratio_band"),
+                    _Rule(_NUMBER, (">= 0", lambda x: x >= 0))),
+    "eps": _Rule(_NUMBER, ("in (0, 1)", lambda x: 0 < x < 1)),
+    **dict.fromkeys(("fraction", "window_fraction", "min_separation_rate"),
+                    _Rule(_NUMBER, ("in [0, 1]", lambda x: 0 <= x <= 1))),
+    **dict.fromkeys(("min_qcc", "min_median_factor", "min_median_np"), _Rule(_NUMBER)),
+    **dict.fromkeys(("matching_consistent", "tails_ok", "floor_all_ok"),
+                    _Rule(("true", lambda value: value is True))),
+    "output": _Rule(("a string or null", lambda value: value is None or isinstance(value, str))),
+    "upper_witness": _Rule(("a boolean", lambda value: isinstance(value, bool))),
+    "solver": _Rule(_STRING, (f"one of {', '.join(WITNESS_METHODS)}",
+                              WITNESS_METHODS.__contains__)),
+    "t_values": _Rule(_NUMBERS, ("a non-empty list of numbers > 0",
+                                 lambda value: len(value) > 0 and min(value) > 0)),
+    "slope_range": _Rule(("a list of two numbers",
+                          lambda value: _NUMBERS[1](value) and len(value) == 2),
+                         ("[lo, hi] with lo <= hi", lambda value: value[0] <= value[1])),
+    "witness_bound": _Rule(
+        ("an object of numbers: bound_factor, optional min_fraction",
+         lambda value: (isinstance(value, dict) and "bound_factor" in value
+                        and set(value) <= {"bound_factor", "min_fraction"}
+                        and all(map(_NUMBER[1], value.values())))),
+        ("bound_factor > 0 and min_fraction in [0, 1]",
+         lambda value: value["bound_factor"] > 0 and 0 <= value.get("min_fraction", 0) <= 1)),
 }
 
 _FLOAT_FMT = "%.12g"
@@ -133,68 +136,58 @@ class ExperimentConfig:
     assertions: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; "
-                             f"choose from {sorted(EXPERIMENTS)}")
-        for key, least in (("replicates", 1), ("base_seed", 0)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{key} must be an integer, not {value!r}")
-            if value < least:
-                raise ValueError(f"{key} must be >= {least}")
+        for name, value, rule in self._values():
+            rule.check(name, value)
         exp = EXPERIMENTS[self.experiment]
-        for section, given, allowed, shown in (
-                ("grid", self.grid, exp.grid, f"({', '.join(exp.grid)})"),
-                ("options", self.options, exp.option_defaults, None),
-                ("assertions", self.assertions, exp.assertion_keys(), None)):
-            if not isinstance(given, dict):
-                raise ValueError(f"{section} must be an object, not {given!r}")
+        for point in self.points():
+            for name, rate in exp.edge_rates:
+                if rate(point) > point["n"]:
+                    raise ValueError(f"{name} = {rate(point):g} exceeds n = {point['n']}, "
+                                     "so the edge probability exceeds 1")
+        self.options = {**exp.option_defaults, **self.options}
+        for check in exp.checks:
+            for key in check.params:
+                if key in self.assertions and self.assertions.get(check.name, False) is False:
+                    raise ValueError(f"assertion {key} needs assertion {check.name}")
+        exp.validate(self)
+
+    def _values(self) -> Iterator[tuple[str, Any, _Rule]]:
+        """Each config value with its name and rule, checked by the caller
+        before the next is read: the experiment, whose keys and rules decide
+        the rest, then each object or list before its contents."""
+        yield "experiment", self.experiment, _EXPERIMENT
+        exp = EXPERIMENTS[self.experiment]
+        for key in ("replicates", "base_seed", "output"):
+            yield key, getattr(self, key), exp.rules[key]
+        for section, allowed, shown in (
+                ("grid", exp.grid, f"({', '.join(exp.grid)})"),
+                ("options", exp.option_defaults, None),
+                ("assertions", exp.assertion_keys(), None)):
+            given = getattr(self, section)
+            yield section, given, _OBJECT
             unknown = [key for key in given if key not in allowed]
             if unknown:
                 raise ValueError(f"{self.experiment} does not accept {section} key "
                                  f"{unknown[0]!r}; accepted: "
                                  f"{shown or ', '.join(allowed) or 'none'}")
         for key in exp.grid:
-            values = self.grid.get(key)
-            if not isinstance(values, list) or not values:
-                raise ValueError(f"grid[{key!r}] must be a non-empty list")
-            integer, rule, holds = _GRID_VALUES[key]
-            for value in values:
-                if _kind(value) != "a number" or (integer and not isinstance(value, int)):
-                    raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}"
-                                     f", not {value!r}")
-                if not holds(value):
-                    raise ValueError(f"{key} must be {rule}, not {value!r}")
-        for point in self.points():
-            for name, rate in exp.edge_rates:
-                if rate(point) > point["n"]:
-                    raise ValueError(f"{name} = {rate(point):g} exceeds n = {point['n']}, "
-                                     "so the edge probability exceeds 1")
-        for key, value in self.options.items():
-            want = _kind(exp.option_defaults[key])
-            if _kind(value) != want:
-                raise ValueError(f"option {key} must be {want}, not {value!r}")
-        self.options = {**exp.option_defaults, **self.options}
-        for check in exp.checks:
-            on = self.assertions.get(check.name, False)
-            if on is not False and not _ASSERTION_KINDS[check.kind](on):
-                raise ValueError(f"assertion {check.name} must be {check.kind}, not {on!r}")
-            for key in check.params:
-                if key not in self.assertions:
-                    continue
-                if on is False:
-                    raise ValueError(f"assertion {key} needs assertion {check.name}")
-                if _kind(self.assertions[key]) != "a number":
-                    raise ValueError(f"assertion {key} must be a number, "
-                                     f"not {self.assertions[key]!r}")
-        exp.validate(self)
+            yield f"grid[{key!r}]", self.grid.get(key), _GRID_LIST
+            yield from ((key, value, exp.rules[key]) for value in self.grid[key])
+        yield from ((f"option {key}", value, exp.rules[key])
+                    for key, value in self.options.items())
+        checks = {check.name for check in exp.checks}
+        yield from ((f"assertion {key}", value, exp.rules[key])
+                    for key, value in self.assertions.items()
+                    if value is not False or key not in checks)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """A missing experiment or grid reads as null, which its rule refuses."""
+        _OBJECT.check("config", raw)
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return cls(**{"experiment": None, "grid": None, **raw})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -374,18 +367,17 @@ class Check:
     all of them when not per_point.  A stat of None fails; limits of None
     leave the point out.
 
-    The check runs when the config sets `name` to a value of `kind` (one
-    of _ASSERTION_KINDS) rather than false, or, given `when`, when
-    when(cfg) holds.  `params` are further assertion keys it reads, each a
-    number and allowed only with the check on.  `summary` = key also
-    stores each point's stat in the summary, under the point's label."""
+    The check runs when the config sets `name` to a value other than
+    false, or, given `when`, when when(cfg) holds.  `params` are further
+    assertion keys it reads, allowed only with the check on.  `summary` =
+    key also stores each point's stat in the summary, under the point's
+    label."""
 
     name: str
     stat: Callable[[Groups, ExperimentConfig], Optional[float]]
     limits: Callable[[dict, ExperimentConfig], Optional[Sequence[float]]]
     _: KW_ONLY
     per_point: bool = True
-    kind: str = "a number"
     params: tuple[str, ...] = ()
     when: Optional[Callable[[ExperimentConfig], Any]] = None
     summary: Optional[str] = None
@@ -436,6 +428,7 @@ class _Experiment:
     # (name, rate of a grid point) for each rate that rate/n makes an edge
     # probability; a rate above n is rejected when the config loads
     edge_rates: tuple[tuple[str, Callable[[dict], float]], ...] = ()
+    rules: dict[str, _Rule] = _RULES
 
     def assertion_keys(self) -> list[str]:
         return [key for check in self.checks if check.when is None
@@ -479,13 +472,13 @@ class GrowthRate(_Experiment):
     name = "growth-rate"
     grid = ("n", "np")
     option_defaults = {"upper_witness": False, "solver": "extremal", "tol": WITNESS_TOL}
+    rules = {**_RULES, "n": _Rule(_INTEGER, (">= 6", lambda x: x >= 6))}  # Swap's least n
     edge_rates = (("np", itemgetter("np")),)
     summary = {"medians": _rows(("n", "np"), median_q_swap=_median_q_swap),
                "slope": _q_swap_slope}
     checks = (
         Check("slope_range", _q_swap_slope,
-              lambda point, cfg: cfg.assertions["slope_range"], per_point=False,
-              kind="a list of two numbers"),
+              lambda point, cfg: cfg.assertions["slope_range"], per_point=False),
         Check("min_median_factor", _median_q_swap, _growth_floor,
               params=("min_median_np",)),
         share("witness_bound",
@@ -493,22 +486,14 @@ class GrowthRate(_Experiment):
                   cfg.assertions["witness_bound"]["bound_factor"]) / math.sqrt(r["np"]),
               need=lambda cfg: float(
                   cfg.assertions["witness_bound"].get("min_fraction", 0.9)),
-              kind="an object of numbers: bound_factor, optional min_fraction",
               summary="witness_pass_fraction"),
         share("lower_le_upper", lambda r, cfg: r["q_swap"] <= r["upper_witness"] + 1e-8,
               when=lambda cfg: cfg.options["upper_witness"]),
     )
 
     def validate(self, cfg):
-        if min(cfg.grid["n"]) < 6:
-            raise ValueError("n must be >= 6 for swap bisection")
-        if not cfg.options["tol"] > 0:
-            raise ValueError(f"tol must be positive, not {cfg.options['tol']!r}")
         if "witness_bound" in cfg.assertions and not cfg.options["upper_witness"]:
             raise ValueError("witness_bound assertion needs options.upper_witness")
-        if cfg.options["solver"] not in WITNESS_METHODS:
-            raise ValueError(f"solver must be one of {', '.join(WITNESS_METHODS)}, "
-                             f"not {cfg.options['solver']!r}")
 
     def task(self, options, base_seed, point_index, point, replicate):
         n, npv = int(point["n"]), float(point["np"])
@@ -548,8 +533,7 @@ class SparsePhase(_Experiment):
               params=("fraction",)),
         share("matching_consistent",
               lambda r, cfg: (not r["is_matching"]
-                              or abs(r["q_cc"] - r["q_matching_theory"]) <= 1e-12),
-              kind="true"),
+                              or abs(r["q_cc"] - r["q_matching_theory"]) <= 1e-12)),
     )
 
     def task(self, options, base_seed, point_index, point, replicate):
@@ -731,13 +715,9 @@ class Concentration(_Experiment):
     summary = {"tails": _tails}
     checks = (Check("tails_ok", lambda groups, cfg: _agg(np.mean, (
                         row["ok"] for row in _tails(groups, cfg))),
-                    lambda point, cfg: (1.0, 1.0), kind="true"),)
+                    lambda point, cfg: (1.0, 1.0)),)
 
     def validate(self, cfg):
-        t_values = cfg.options["t_values"]
-        if not t_values or min(t_values) <= 0:
-            raise ValueError(f"t_values must be a non-empty list of numbers > 0, "
-                             f"not {t_values!r}")
         for n in cfg.grid["n"]:
             if n > ORACLE_CAP:
                 raise TooLargeError(f"n={n} above oracle cap {ORACLE_CAP}")
@@ -772,7 +752,7 @@ class IsolatedEdges(_Experiment):
     summary = {"ratios": _rows(("n", "c"), mean_ratio=_of(np.mean, "ratio"),
                                prediction=_of(lambda values: values[0], "prediction"))}
     checks = (
-        share("floor_all_ok", lambda r, cfg: r["floor_ok"] is not False, kind="true"),
+        share("floor_all_ok", lambda r, cfg: r["floor_ok"] is not False),
         Check("ratio_band", _of(np.mean, "ratio"), _first_moment_limits),
     )
 
@@ -803,3 +783,4 @@ EXPERIMENTS: dict[str, _Experiment] = {
         GrowthRate(), SparsePhase(), ThresholdWindow(), Planted(),
         SbmDistinguish(), Concentration(), IsolatedEdges())
 }
+_EXPERIMENT = _Rule(_STRING, (f"one of {', '.join(EXPERIMENTS)}", EXPERIMENTS.__contains__))

@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from numbers import Integral, Real
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .graph import _BLOCK, Graph, TooLargeError, _index_dtype
+from .graph import (_BLOCK, _INTEGER, _NUMBER, _STRING, Graph, TooLargeError, _Rule,
+                    _index_dtype)
 
 __all__ = [
     "Model",
@@ -101,14 +101,10 @@ class GeneratorSpec:
         for key in ("model", "n"):
             if key not in given:
                 raise ValueError(f"GeneratorSpec needs {key!r}")
-        model = given.pop("model")
         for key, val in given.items():
-            kind, noun = ((Integral, "an integer") if key in ("n", "m", "k", "seed")
-                          else (Real, "a number"))
-            if isinstance(val, bool) or not isinstance(val, kind):
-                raise ValueError(f"GeneratorSpec {key!r} must be {noun}, not {val!r}")
-        return cls(model=Model(model.lower() if isinstance(model, str) else model),
-                   **{"seed": 0, **given})
+            _Rule(_STRING if key == "model" else _INTEGER if key in ("n", "m", "k", "seed")
+                  else _NUMBER).check(f"GeneratorSpec {key!r}", val)
+        return cls(**{"seed": 0, **given, "model": Model(given["model"].lower())})
 
 
 @dataclass(frozen=True)

@@ -193,18 +193,49 @@ class TestInputErrors:
         ("concentration", {"options": {"t_values": []}},
          "t_values must be a non-empty list of numbers > 0, not []"),
         ("concentration", {"options": {"t_values": [0.2, -0.1]}},
-         "t_values must be a non-empty list of numbers > 0")])
+         "t_values must be a non-empty list of numbers > 0"),
+        ("threshold-window", {"assertions": {"window_fraction": 1.5}},
+         "assertion window_fraction must be in [0, 1], not 1.5"),
+        ("growth-rate", {"assertions": {"slope_range": [-0.4, -0.6]}},
+         "assertion slope_range must be [lo, hi] with lo <= hi, not [-0.4, -0.6]"),
+        ("growth-rate", {"options": {"upper_witness": True}, "assertions": {
+            "witness_bound": {"bound_factor": 6.0, "min_fraction": -0.1}}},
+         "assertion witness_bound must be bound_factor > 0 and min_fraction in [0, 1]"),
+        ("growth-rate", {"options": {"upper_witness": True},
+                         "assertions": {"witness_bound": {"bound_factor": 0}}},
+         "assertion witness_bound must be bound_factor > 0 and min_fraction in [0, 1]"),
+        ("sparse", {"assertions": {"min_qcc": 0.5, "fraction": 1.5}},
+         "assertion fraction must be in [0, 1], not 1.5"),
+        ("sbm-distinguish", {"assertions": {"min_separation_rate": -0.1}},
+         "assertion min_separation_rate must be in [0, 1], not -0.1"),
+        ("planted", {"assertions": {"mean_tolerance": -0.01}},
+         "assertion mean_tolerance must be >= 0, not -0.01"),
+        ("isolated-edges", {"assertions": {"ratio_band": -0.1}},
+         "assertion ratio_band must be >= 0, not -0.1"),
+        ("sparse", None, "config must be an object, not None"),
+        ("sparse", 5, "config must be an object, not 5"),
+        ("sparse", [{}], "config must be an object, not [{}]"),
+        ("sparse", "abc", "config must be an object, not 'abc'"),
+        ("sparse", {"experiment": ["sparse"]}, "experiment must be a string, not ['sparse']"),
+        ("sparse", {"output": True}, "output must be a string or null, not True"),
+        ("sparse", {"output": 1}, "output must be a string or null, not 1")])
     def test_config_refused_before_any_task(self, tmp_path, capsys, monkeypatch,
                                             experiment, over, word):
-        # each of these used to fail only after the sweep, or assert nothing
+        # each of these used to fail only after the sweep, assert nothing or
+        # end in a traceback; an `over` that is no object is the whole file
         def task(*args):
             raise AssertionError("a task ran")
         monkeypatch.setattr(EXPERIMENTS[experiment], "task", task)
         grid = {"sparse": {"n": [500], "np": [0.5]},
                 "growth-rate": {"n": [600], "np": [8.0, 16.0]},
-                "concentration": {"n": [6], "m": [5]}}[experiment]
+                "concentration": {"n": [6], "m": [5]},
+                "threshold-window": {"n": [500], "eps": [0.2]},
+                "sbm-distinguish": {"n": [100], "alpha": [4.0], "beta": [1.0]},
+                "planted": {"n": [100], "c": [9.0], "k": [2]},
+                "isolated-edges": {"n": [500], "c": [0.5]}}[experiment]
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": experiment, "grid": grid, **over}))
+        path.write_text(json.dumps({"experiment": experiment, "grid": grid, **over}
+                                   if isinstance(over, dict) else over))
         assert main([experiment, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

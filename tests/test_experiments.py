@@ -31,7 +31,7 @@ def cfg(**over):
 
 class TestConfig:
     def test_unknown_experiment(self):
-        with pytest.raises(ValueError, match="unknown experiment"):
+        with pytest.raises(ValueError, match="experiment must be one of growth-rate, "):
             cfg(experiment="nope")
 
     def test_empty_grid(self):
@@ -47,6 +47,13 @@ class TestConfig:
             ExperimentConfig.from_dict({"experiment": "sparse",
                                         "grid": {"n": [5], "np": [0.5]},
                                         "bogus": 1})
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"grid": {"n": [5], "np": [0.5]}}, "experiment must be a string, not None"),
+        ({"experiment": "sparse"}, "grid must be an object, not None")])
+    def test_missing_experiment_or_grid(self, raw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(raw)
 
     def test_unknown_grid_key(self):
         with pytest.raises(ValueError, match=r"grid key 'eps'; accepted: \(n, np\)"):
@@ -135,7 +142,7 @@ class TestConfig:
         ("sparse", {"n": [True], "np": [0.5]}, "n must be an integer, not True"),
         ("planted", {"n": [100], "c": [9.0], "k": [2.5]}, "k must be an integer"),
         ("planted", {"n": [100], "c": [9.0], "k": [1]}, "k must be >= 2, not 1"),
-        ("growth-rate", {"n": [0], "np": [2.0]}, "n must be >= 1, not 0"),
+        ("sparse", {"n": [0], "np": [2.0]}, "n must be >= 1, not 0"),
         ("growth-rate", {"n": [3], "np": [2.0]}, "n must be >= 6"),
         ("concentration", {"n": [8], "m": [-1]}, "m must be >= 0, not -1"),
         ("sbm-distinguish", {"n": [100], "alpha": [-1.0], "beta": [1.0]},

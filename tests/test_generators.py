@@ -52,7 +52,8 @@ class TestGeneratorSpec:
         ({"model": "gnp", "n": 6}, "requires field 'p'"),
         ({"model": "gnp", "n": 6, "p": 0.5, "k": 2}, "forbids field 'k'"),
         ({"model": "ba", "n": 6}, "not a valid Model"),
-        ([["model", "gnp"]], "JSON object")])
+        ([["model", "gnp"]], "JSON object"),
+        ({"model": 5, "n": 6}, "'model' must be a string, not 5")])
     def test_from_dict_rejects(self, raw, message):
         with pytest.raises(ValueError, match=message):
             GeneratorSpec.from_dict(raw)
