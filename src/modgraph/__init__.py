@@ -7,9 +7,8 @@ from .graph import (EdgeListFormatError, EmptyGraphError, Graph,
                     connected_components, induced_subgraph, modularity_score,
                     read_edgelist, read_partition, write_edgelist,
                     write_partition)
-from .generators import (GeneratorSpec, LabeledGraph, Model, MTooLargeError,
-                         RateOutOfRangeError, gen_gnm, gen_gnp, gen_planted,
-                         sample, substream)
+from .generators import (LabeledGraph, MTooLargeError, RateOutOfRangeError,
+                         gen_gnm, gen_gnp, gen_planted, substream)
 from .heuristics import (KTooSmallError, SwapTrace, TooSmallError, f_k,
                          planted_partition, swap_bisection)
 from .oracle import (COutOfRangeError, OracleResult, RobustnessCheck,

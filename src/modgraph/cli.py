@@ -10,7 +10,7 @@ Utility subcommands operate directly on edge-list / partition files:
 
     modgraph oracle graph.txt --maximizers
     modgraph score graph.txt partition.txt
-    modgraph generate --spec spec.json --out graph.txt
+    modgraph generate --model gnm --n 100 --m 250 --seed 7 --out graph.txt
     modgraph spectral graph.txt --method extremal --tol 1e-6
 
 Input the library rejects (a malformed file, a bad parameter or config, an
@@ -26,7 +26,7 @@ import json
 import sys
 
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
-from .generators import GeneratorSpec, Model, sample
+from .generators import gen_gnm, gen_gnp, gen_planted
 from .graph import (_write_records, modularity_score, read_edgelist,
                     read_partition, write_edgelist, write_partition)
 from .oracle import ORACLE_CAP, exact_modularity
@@ -94,20 +94,25 @@ def _cmd_score(args) -> int:
     return 0
 
 
+# Each model of `generate`: its generator and the flags it takes after --n.
+_MODELS = {"gnp": (gen_gnp, ("p",)), "gnm": (gen_gnm, ("m",)),
+           "planted": (gen_planted, ("alpha", "beta", "k"))}
+
+
 def _cmd_generate(args) -> int:
-    raw = {field.name: getattr(args, field.name)
-           for field in dataclasses.fields(GeneratorSpec)}
-    if args.spec:
-        given = [f"--{key}" for key, val in raw.items() if val is not None]
-        if given:
-            raise ValueError(f"--spec cannot be used with {', '.join(given)}")
-        with open(args.spec) as fh:
-            raw = json.load(fh)
-    spec = GeneratorSpec.from_dict(raw)
-    if args.labels_out and spec.model is not Model.PLANTED:
+    for flag in ("model", "n"):
+        if getattr(args, flag) is None:
+            raise ValueError(f"generate needs {flag!r}")
+    generator, params = _MODELS[args.model]
+    for flag in ("p", "m", "alpha", "beta", "k"):
+        given = getattr(args, flag) is not None
+        if given != (flag in params):
+            verb = "forbids" if given else "requires"
+            raise ValueError(f"model {args.model} {verb} field {flag!r}")
+    if args.labels_out and args.model != "planted":
         raise ValueError("--labels-out needs the planted model")
-    drawn = sample(spec)
-    graph = drawn.graph if hasattr(drawn, "graph") else drawn
+    drawn = generator(args.n, *(getattr(args, flag) for flag in params), args.seed)
+    graph = drawn.graph if args.model == "planted" else drawn
     if args.out:
         write_edgelist(graph, args.out)
         print(f"wrote n={graph.n} m={graph.m} to {args.out}", file=sys.stderr)
@@ -165,16 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("partition", help="partition file")
     par.set_defaults(func=_cmd_score)
 
-    par = sub.add_parser("generate", help="draw a graph from a GeneratorSpec")
-    par.add_argument("--spec", default=None, help="GeneratorSpec JSON, not with flags")
-    par.add_argument("--model", choices=[m.value for m in Model], default=None)
+    par = sub.add_parser("generate", help="draw a graph from a random-graph model")
+    par.add_argument("--model", choices=list(_MODELS), default=None)
     par.add_argument("--n", type=int, default=None)
     par.add_argument("--p", type=float, default=None)
     par.add_argument("--m", type=int, default=None)
     par.add_argument("--alpha", type=float, default=None)
     par.add_argument("--beta", type=float, default=None)
     par.add_argument("--k", type=int, default=None)
-    par.add_argument("--seed", type=int, default=None, help="default 0")
+    par.add_argument("--seed", type=int, default=0, help="default %(default)s")
     par.add_argument("--out", default=None, help="edge-list output (stdout if absent)")
     par.add_argument("--labels-out", default=None,
                      help="write planted block labels here")

@@ -31,9 +31,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import (_INTEGER, _NUMBER, _STRING, _Rule, _component_edges, _open,
-                    connected_components, modularity_score)
-from .generators import gen_gnm, gen_gnp, gen_planted, substream
+from .graph import _component_edges, _open, connected_components, modularity_score
+from .generators import MAX_N, gen_gnm, gen_gnp, gen_planted, substream
 from .heuristics import f_k, planted_partition, swap_bisection
 from .oracle import ORACLE_CAP, exact_modularity, solve_dual
 from .spectral import WITNESS_METHODS, WITNESS_TOL, TooLargeError, spectral_upper_witness
@@ -48,8 +47,29 @@ __all__ = [
 ]
 
 
+# The kinds of config value as (text, test); a bool is no JSON number.
+_NUMBER = ("a number", lambda x: isinstance(x, (int, float)) and not isinstance(x, bool))
+_INTEGER = ("an integer", lambda x: _NUMBER[1](x) and isinstance(x, int))
+_STRING = ("a string", lambda x: isinstance(x, str))
 _NUMBERS = ("a list of numbers",
             lambda value: isinstance(value, (list, tuple)) and all(map(_NUMBER[1], value)))
+
+
+class _Rule:
+    """What one config value must be: a kind, then its ranges, each as
+    (text, test); a test runs only on a value that passed those before it."""
+
+    def __init__(self, *tests: tuple[str, Callable[[Any], bool]]):
+        self.tests = tests
+
+    def check(self, name: str, value) -> None:
+        for text, holds in self.tests:
+            if not holds(value):
+                raise ValueError(f"{name} must be {text}, not {value!r}")
+
+
+# A grid n above the generators' limit would fail every task.
+_N_MAX = (f"<= {MAX_N}", lambda x: x <= MAX_N)
 _OBJECT = _Rule(("an object", lambda value: isinstance(value, dict)))
 _GRID_LIST = _Rule(("a non-empty list", lambda value: isinstance(value, list) and len(value) > 0))
 
@@ -57,7 +77,8 @@ _GRID_LIST = _Rule(("a non-empty list", lambda value: isinstance(value, list) an
 # every grid, option and assertion key of any experiment (an experiment's
 # `rules` may replace one).  The experiment's own rule is _EXPERIMENT.
 _RULES = {
-    **dict.fromkeys(("replicates", "n"), _Rule(_INTEGER, (">= 1", lambda x: x >= 1))),
+    "replicates": _Rule(_INTEGER, (">= 1", lambda x: x >= 1)),
+    "n": _Rule(_INTEGER, (">= 1", lambda x: x >= 1), _N_MAX),
     **dict.fromkeys(("base_seed", "m"), _Rule(_INTEGER, (">= 0", lambda x: x >= 0))),
     "k": _Rule(_INTEGER, (">= 2", lambda x: x >= 2)),
     **dict.fromkeys(("np", "c", "alpha", "tol"), _Rule(_NUMBER, ("positive", lambda x: x > 0))),
@@ -472,7 +493,8 @@ class GrowthRate(_Experiment):
     name = "growth-rate"
     grid = ("n", "np")
     option_defaults = {"upper_witness": False, "solver": "extremal", "tol": WITNESS_TOL}
-    rules = {**_RULES, "n": _Rule(_INTEGER, (">= 6", lambda x: x >= 6))}  # Swap's least n
+    # 6 is the least n Swap takes
+    rules = {**_RULES, "n": _Rule(_INTEGER, (">= 6", lambda x: x >= 6), _N_MAX)}
     edge_rates = (("np", itemgetter("np")),)
     summary = {"medians": _rows(("n", "np"), median_q_swap=_median_q_swap),
                "slope": _q_swap_slope}
@@ -492,7 +514,8 @@ class GrowthRate(_Experiment):
     )
 
     def validate(self, cfg):
-        if "witness_bound" in cfg.assertions and not cfg.options["upper_witness"]:
+        if (cfg.assertions.get("witness_bound", False) is not False
+                and not cfg.options["upper_witness"]):
             raise ValueError("witness_bound assertion needs options.upper_witness")
 
     def task(self, options, base_seed, point_index, point, replicate):

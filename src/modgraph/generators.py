@@ -21,18 +21,14 @@ with one whole-request draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from enum import Enum
-from typing import Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .graph import (_BLOCK, _INTEGER, _NUMBER, _STRING, Graph, TooLargeError, _Rule,
-                    _index_dtype)
+from .graph import _BLOCK, Graph, TooLargeError, _index_dtype
 
 __all__ = [
-    "Model",
-    "GeneratorSpec",
     "LabeledGraph",
     "MTooLargeError",
     "RateOutOfRangeError",
@@ -40,7 +36,6 @@ __all__ = [
     "gen_gnp",
     "gen_gnm",
     "gen_planted",
-    "sample",
 ]
 
 
@@ -50,61 +45,6 @@ class MTooLargeError(ValueError):
 
 class RateOutOfRangeError(ValueError):
     """Planted-model rate outside (0, n] for alpha or [0, n] for beta."""
-
-
-class Model(str, Enum):
-    GNP = "gnp"
-    GNM = "gnm"
-    PLANTED = "planted"
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameters plus seed for one random-graph draw.
-
-    Exactly the fields of the selected model may be set: p for GNP, m for
-    GNM, (alpha, beta, k) for PLANTED.  Their ranges are checked by the
-    generator that `sample` calls.
-    """
-
-    model: Model
-    n: int
-    seed: int
-    p: Optional[float] = None
-    m: Optional[int] = None
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    k: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "model", Model(self.model))
-        required = {Model.GNP: ("p",), Model.GNM: ("m",),
-                    Model.PLANTED: ("alpha", "beta", "k")}[self.model]
-        for name in ("p", "m", "alpha", "beta", "k"):
-            val = getattr(self, name)
-            if name in required and val is None:
-                raise ValueError(f"model {self.model.value} requires field {name!r}")
-            if name not in required and val is not None:
-                raise ValueError(f"model {self.model.value} forbids field {name!r}")
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "GeneratorSpec":
-        """The spec of a JSON object or of the CLI's flags: null is absent,
-        the model name ignores case, seed defaults to 0; a wrong key, a
-        missing model or n, or a value of the wrong type raises ValueError."""
-        if not isinstance(raw, Mapping):
-            raise ValueError("a GeneratorSpec must be a JSON object")
-        unknown = set(raw) - {field.name for field in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown GeneratorSpec keys: {sorted(unknown)}")
-        given = {key: val for key, val in raw.items() if val is not None}
-        for key in ("model", "n"):
-            if key not in given:
-                raise ValueError(f"GeneratorSpec needs {key!r}")
-        for key, val in given.items():
-            _Rule(_STRING if key == "model" else _INTEGER if key in ("n", "m", "k", "seed")
-                  else _NUMBER).check(f"GeneratorSpec {key!r}", val)
-        return cls(**{"seed": 0, **given, "model": Model(given["model"].lower())})
 
 
 @dataclass(frozen=True)
@@ -230,11 +170,15 @@ def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u.astype(dtype, copy=False), v.astype(dtype)
 
 
+# The largest n of any generator: _pairs_from_index is exact up to it.
+MAX_N = 3_037_000_499
+
+
 def _check_n(n: int) -> None:
-    """A generator's n: at least 1, and at most 3,037,000,499, where
-    _pairs_from_index is exact.  Checked before any n-sized allocation."""
-    if n > 3_037_000_499:
-        raise TooLargeError(f"n={n} exceeds 3037000499, the pair decoder's exact range")
+    """A generator's n: at least 1, and at most MAX_N.  Checked before any
+    n-sized allocation."""
+    if n > MAX_N:
+        raise TooLargeError(f"n={n} exceeds {MAX_N}, the pair decoder's exact range")
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -320,13 +264,3 @@ def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph
                 ev_chunks.append(np.maximum(gu, gv))
     graph = Graph.from_arrays(n, np.concatenate(eu_chunks), np.concatenate(ev_chunks))
     return LabeledGraph(graph=graph, labels=labels, k=k)
-
-
-def sample(spec: GeneratorSpec):
-    """Draw from a GeneratorSpec: a Graph for GNP/GNM, a LabeledGraph for
-    PLANTED."""
-    if spec.model is Model.GNP:
-        return gen_gnp(spec.n, spec.p, spec.seed)
-    if spec.model is Model.GNM:
-        return gen_gnm(spec.n, spec.m, spec.seed)
-    return gen_planted(spec.n, spec.alpha, spec.beta, spec.k, spec.seed)

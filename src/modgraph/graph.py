@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,27 +56,6 @@ class EdgeListFormatError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-# The kinds of value that experiment configs and generator specs share, as
-# (text, test); a bool is no JSON number.
-_NUMBER = ("a number", lambda x: isinstance(x, (int, float)) and not isinstance(x, bool))
-_INTEGER = ("an integer", lambda x: _NUMBER[1](x) and isinstance(x, int))
-_STRING = ("a string", lambda x: isinstance(x, str))
-
-
-@dataclass(frozen=True)
-class _Rule:
-    """What one config value must be: a kind, then a range, each as
-    (text, test); the range is tested only on a value of the kind."""
-
-    kind: tuple[str, Callable[[Any], bool]]
-    range: tuple[str, Callable[[Any], bool]] = ("", lambda value: True)
-
-    def check(self, name: str, value) -> None:
-        for text, holds in (self.kind, self.range):
-            if not holds(value):
-                raise ValueError(f"{name} must be {text}, not {value!r}")
 
 
 # Edges per block of an O(m) pass: its temporaries stay near cache size

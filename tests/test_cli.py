@@ -95,29 +95,30 @@ class TestInputErrors:
         self._fails(["spectral", p4_file, "--method", "extremal", "--cap", "3"],
                     capsys, "--cap")
 
-    def _spec_file(self, tmp_path, **fields):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(fields))
-        return str(path)
-
-    def test_spec_without_model(self, tmp_path, capsys):
-        spec = self._spec_file(tmp_path, n=6, m=5)
-        self._fails(["generate", "--spec", spec], capsys, "needs 'model'")
-
-    def test_spec_fractional_n(self, tmp_path, capsys):
-        spec = self._spec_file(tmp_path, model="gnm", n=5.5, m=3, seed=1)
-        self._fails(["generate", "--spec", spec], capsys, "'n' must be an integer")
-
-    def test_spec_with_flags(self, tmp_path, capsys):
-        spec = self._spec_file(tmp_path, model="gnm", n=6, m=5, seed=1)
-        out = tmp_path / "g.txt"
-        self._fails(["generate", "--spec", spec, "--model", "gnm", "--n", "7",
-                     "--m", "3", "--out", str(out)], capsys,
-                    "--spec cannot be used with --model, --n, --m")
-        assert not out.exists()
-
     def test_generate_without_model(self, capsys):
         self._fails(["generate", "--n", "7", "--m", "3"], capsys, "needs 'model'")
+
+    @pytest.mark.parametrize("flags, word", [
+        (["--model", "gnm", "--m", "3"], "generate needs 'n'"),
+        (["--model", "gnp", "--n", "6"], "model gnp requires field 'p'"),
+        (["--model", "planted", "--n", "6", "--alpha", "2", "--beta", "1"],
+         "model planted requires field 'k'"),
+        (["--model", "gnp", "--n", "6", "--p", "0.5", "--k", "2"],
+         "model gnp forbids field 'k'"),
+        (["--model", "gnm", "--n", "6", "--m", "5", "--p", "0.5"],
+         "model gnm forbids field 'p'")],
+        ids=["no-n", "gnp-no-p", "planted-no-k", "gnp-with-k", "gnm-with-p"])
+    def test_generate_flags_of_model(self, tmp_path, capsys, flags, word):
+        # a model takes its own parameter flags and no others
+        out = tmp_path / "g.txt"
+        self._fails(["generate", *flags, "--out", str(out)], capsys, word)
+        assert not out.exists()
+
+    def test_generate_unknown_model(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--model", "ba", "--n", "6"])
+        assert info.value.code == 2
+        assert "invalid choice: 'ba'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", [["gnp", "--p", "0.5"], ["gnm", "--m", "3"]])
     def test_labels_out_without_planted(self, tmp_path, capsys, model):
@@ -218,7 +219,9 @@ class TestInputErrors:
         ("sparse", "abc", "config must be an object, not 'abc'"),
         ("sparse", {"experiment": ["sparse"]}, "experiment must be a string, not ['sparse']"),
         ("sparse", {"output": True}, "output must be a string or null, not True"),
-        ("sparse", {"output": 1}, "output must be a string or null, not 1")])
+        ("sparse", {"output": 1}, "output must be a string or null, not 1"),
+        ("sparse", {"grid": {"n": [4000000000], "np": [0.5]}},
+         "n must be <= 3037000499, not 4000000000")])
     def test_config_refused_before_any_task(self, tmp_path, capsys, monkeypatch,
                                             experiment, over, word):
         # each of these used to fail only after the sweep, assert nothing or
@@ -261,11 +264,10 @@ class TestScoreCommand:
 
 
 class TestGenerateCommand:
-    def test_from_spec_file(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"model": "gnm", "n": 6, "m": 5, "seed": 3}))
+    def test_gnm_from_flags(self, tmp_path):
         out = tmp_path / "g.txt"
-        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
+        assert main(["generate", "--model", "gnm", "--n", "6", "--m", "5", "--seed", "3",
+                     "--out", str(out)]) == 0
         g = read_edgelist(str(out))
         assert g.n == 6 and g.m == 5
 
@@ -303,15 +305,12 @@ class TestGenerateCommand:
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in digests} == digests
 
-    def test_spec_seed_defaults_to_flag_default(self, tmp_path):
-        # a spec without seed draws what the flags draw without --seed
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"model": "planted", "n": 60, "alpha": 6,
-                                    "beta": 1, "k": 3}))
+    def test_seed_defaults_to_zero(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        assert main(["generate", "--spec", str(spec), "--out", str(a)]) == 0
-        assert main(["generate", "--model", "planted", "--n", "60", "--alpha", "6",
-                     "--beta", "1", "--k", "3", "--out", str(b)]) == 0
+        flags = ["generate", "--model", "planted", "--n", "60", "--alpha", "6",
+                 "--beta", "1", "--k", "3"]
+        assert main([*flags, "--out", str(a)]) == 0
+        assert main([*flags, "--seed", "0", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
     def test_determinism(self, tmp_path):

@@ -185,6 +185,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="needs options.upper_witness"):
             cfg(experiment="growth-rate", grid={"n": [100], "np": [4.0]},
                 assertions={"witness_bound": {"bound_factor": 6.0}})
+        # false turns the check off, so it needs no option
+        cfg(experiment="growth-rate", grid={"n": [100], "np": [4.0]},
+            assertions={"witness_bound": False})
 
     def test_grid_points_cartesian(self):
         c = cfg(experiment="growth-rate",
@@ -601,15 +604,15 @@ def test_golden_csv_digest(raw, digest):
 PUBLIC_NAMES = {
     "COutOfRangeError", "CheckOutcome", "DENSE_CAP", "EXPERIMENTS",
     "EdgeListFormatError", "EmptyGraphError", "ExperimentConfig", "ExperimentResult",
-    "GapEstimate", "GeneratorSpec", "Graph", "InvalidPartitionError",
-    "IsolatedVertexError", "KTooSmallError", "LabeledGraph", "MTooLargeError", "Model",
+    "GapEstimate", "Graph", "InvalidPartitionError",
+    "IsolatedVertexError", "KTooSmallError", "LabeledGraph", "MTooLargeError",
     "ModularityBreakdown", "OracleResult", "Partition", "PruneResult",
     "RateOutOfRangeError", "RobustnessCheck", "SpectralSummary", "SwapTrace",
     "TooLargeError", "TooSmallError", "UpperWitness", "connected_components",
     "discrepancy_audit", "exact_modularity", "extremal_gap", "f_k", "gen_gnm", "gen_gnp",
     "gen_planted", "induced_subgraph", "modularity_score", "optimal_connectivity_check",
     "planted_partition", "prune", "read_edgelist", "read_partition",
-    "resolution_limit_check", "robustness_check", "run_experiment", "sample",
+    "resolution_limit_check", "robustness_check", "run_experiment",
     "solve_dual", "spectral_summary", "spectral_upper_witness", "substream",
     "swap_bisection", "wilson_upper", "write_edgelist", "write_partition",
 }

@@ -1,9 +1,7 @@
 """Generators: determinism (with frozen reference streams), marginal
-statistics against binomial oracles, and spec validation."""
+statistics against binomial oracles, and range errors."""
 
-import dataclasses
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -11,78 +9,27 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from modgraph.generators import (GeneratorSpec, LabeledGraph, Model,
-                                 MTooLargeError, RateOutOfRangeError,
+from modgraph.generators import (MTooLargeError, RateOutOfRangeError,
                                  _bernoulli_positions, _pairs_from_index,
-                                 gen_gnm, gen_gnp, gen_planted, sample,
-                                 substream)
+                                 gen_gnm, gen_gnp, gen_planted, substream)
 from modgraph.graph import _BLOCK, Graph, TooLargeError, modularity_score
 from modgraph.heuristics import swap_bisection
 
 
-class TestGeneratorSpec:
-    def test_model_field_exclusivity(self):
-        GeneratorSpec(model=Model.GNP, n=10, seed=1, p=0.5)
-        with pytest.raises(ValueError, match="requires field"):
-            GeneratorSpec(model=Model.GNP, n=10, seed=1)
-        with pytest.raises(ValueError, match="forbids field"):
-            GeneratorSpec(model=Model.GNM, n=10, seed=1, m=3, p=0.5)
-
-    def test_json_roundtrip(self):
-        # the JSON a spec file holds: every field, the model by name
-        spec = GeneratorSpec(model=Model.PLANTED, n=50, seed=9, alpha=4.0,
-                             beta=1.0, k=3)
-        text = json.dumps(dataclasses.asdict(spec))
-        assert '"model": "planted"' in text
-        assert GeneratorSpec.from_dict(json.loads(text)) == spec
-
-    def test_from_dict_defaults(self):
-        # null is absent, the model name ignores case, the seed defaults to 0
-        spec = GeneratorSpec.from_dict({"model": "GNM", "n": 6, "m": 5, "p": None})
-        assert spec == GeneratorSpec(model=Model.GNM, n=6, seed=0, m=5)
-
-    @pytest.mark.parametrize("raw, message", [
-        ({"n": 6, "m": 5}, "needs 'model'"),
-        ({"model": "gnm", "m": 5}, "needs 'n'"),
-        ({"model": "gnm", "n": 6, "m": 5, "size": 3}, "unknown GeneratorSpec keys"),
-        ({"model": "gnm", "n": 5.5, "m": 5}, "'n' must be an integer"),
-        ({"model": "gnm", "n": 6, "m": 5, "seed": "1"}, "'seed' must be an integer"),
-        ({"model": "gnm", "n": True, "m": 5}, "'n' must be an integer"),
-        ({"model": "gnp", "n": 6, "p": "0.5"}, "'p' must be a number"),
-        ({"model": "gnp", "n": 6}, "requires field 'p'"),
-        ({"model": "gnp", "n": 6, "p": 0.5, "k": 2}, "forbids field 'k'"),
-        ({"model": "ba", "n": 6}, "not a valid Model"),
-        ([["model", "gnp"]], "JSON object"),
-        ({"model": 5, "n": 6}, "'model' must be a string, not 5")])
-    def test_from_dict_rejects(self, raw, message):
-        with pytest.raises(ValueError, match=message):
-            GeneratorSpec.from_dict(raw)
-
-    def test_bounds(self):
-        # a spec is built whatever its ranges; the generator that sample
-        # calls checks them and raises the exact type
-        for fields, error in [
-                (dict(model=Model.GNM, n=4, m=7), MTooLargeError),
-                (dict(model=Model.GNM, n=0, m=0), ValueError),
-                (dict(model=Model.PLANTED, n=10, alpha=11.0, beta=1.0, k=2),
-                 RateOutOfRangeError),
-                (dict(model=Model.PLANTED, n=10, alpha=2.0, beta=11.0, k=1),
-                 RateOutOfRangeError),
-                (dict(model=Model.PLANTED, n=10, alpha=2.0, beta=1.0, k=1), ValueError),
-                (dict(model=Model.PLANTED, n=0, alpha=2.0, beta=1.0, k=2), ValueError),
-                (dict(model=Model.GNP, n=10, p=1.5), ValueError),
-                (dict(model=Model.GNP, n=0, p=0.5), ValueError)]:
-            spec = GeneratorSpec(seed=0, **fields)
-            with pytest.raises(error) as info:
-                sample(spec)
-            assert type(info.value) is error, fields
-
-    def test_sample_dispatch(self):
-        g = sample(GeneratorSpec(model=Model.GNM, n=6, seed=4, m=5))
-        assert isinstance(g, Graph) and g.m == 5
-        lg = sample(GeneratorSpec(model=Model.PLANTED, n=20, seed=4, alpha=5.0,
-                                  beta=1.0, k=2))
-        assert isinstance(lg, LabeledGraph)
+def test_range_errors_exact_type():
+    # each generator checks its own ranges and raises the exact type
+    for generator, args, error in [
+            (gen_gnm, (4, 7), MTooLargeError),
+            (gen_gnm, (0, 0), ValueError),
+            (gen_planted, (10, 11.0, 1.0, 2), RateOutOfRangeError),
+            (gen_planted, (10, 2.0, 11.0, 1), RateOutOfRangeError),
+            (gen_planted, (10, 2.0, 1.0, 1), ValueError),
+            (gen_planted, (0, 2.0, 1.0, 2), ValueError),
+            (gen_gnp, (10, 1.5), ValueError),
+            (gen_gnp, (0, 0.5), ValueError)]:
+        with pytest.raises(error) as info:
+            generator(*args, 0)
+        assert type(info.value) is error, (generator.__name__, args)
 
 
 class TestDeterminism:
