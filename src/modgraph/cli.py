@@ -70,7 +70,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = read_edgelist(args.graph)
-    result = exact_modularity(g, cap=args.cap, max_parts=args.max_parts)
+    result = exact_modularity(g, max_parts=args.max_parts)
     q = result.q_star
     if args.max_parts is None:
         print(f"q* = {q} = {float(q):.12g}")
@@ -154,11 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _add_experiment_parsers(sub)
 
-    par = sub.add_parser("oracle", help="exact q* of a small graph")
+    par = sub.add_parser("oracle", help="exact q* of a graph with at most "
+                                        f"{ORACLE_CAP} non-isolated vertices")
     par.add_argument("graph", help="edge-list file")
-    par.add_argument("--cap", type=int, default=ORACLE_CAP,
-                     help="max non-isolated vertices (default %(default)s); "
-                          "the scan's cost grows as the Bell numbers")
     par.add_argument("--maximizers", action="store_true",
                      help="also print every optimal partition")
     par.add_argument("--max-parts", type=int, default=None,

@@ -70,8 +70,12 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _rng(seed) -> np.random.Generator:
-    """A Generator is used as given; an integer seeds a fresh stream."""
-    return seed if isinstance(seed, np.random.Generator) else substream(int(seed))
+    """A Generator is used as given; an integer >= 0 seeds a fresh stream."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
+    return substream(int(seed))
 
 
 def _request_size(remaining: int, p: float) -> int:
@@ -210,7 +214,9 @@ def gen_gnm(n: int, m: int, seed) -> Graph:
     pair indices.  Deterministic given (n, m, seed)."""
     _check_n(n)
     count = n * (n - 1) // 2
-    if not (0 <= m <= count):
+    if m < 0:
+        raise ValueError(f"m must be >= 0, not {m}")
+    if m > count:
         raise MTooLargeError(f"m={m} exceeds pair count {count}")
     rng = _rng(seed)
     chosen: set[int] = set()

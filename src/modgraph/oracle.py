@@ -12,17 +12,12 @@ vertex pairs makes the numerator linear in which pairs share a part:
 Partitions are enumerated as restricted-growth strings in lexicographic
 order, which fixes the order in which tied maximizers are reported.  The
 same-part indicators of all strings of a vertex count and block cap form
-one cached table (strings x vertex pairs), so a scan is one
-matrix-vector product with the pair weights, a max and a flatnonzero.
-Table entries are 0 or 1 and the weights integers whose absolute sum is
-checked to stay below 2^24, so every partial sum of the float32 product
-is an exact integer.
-
-Above _TABLE_ROWS strings the scan walks prefixes in lexicographic order
-instead, extending each until its completions fit one table.  Each block
-of the prefix then acts as one virtual vertex with its own fixed label,
-weighted to a suffix vertex by the sum over its members, so no table
-grows with the Bell number of the vertex count.
+one cached table (strings x vertex pairs), so a scan is one table
+lookup, one matrix-vector product with the pair weights, a max and a
+flatnonzero.  Table entries are 0 or 1 and the weights integers whose
+absolute sum is checked to stay below 2^24, so every partial sum of the
+float32 product is an exact integer.  The oracle takes at most
+ORACLE_CAP non-isolated vertices.
 
 Isolated vertices are excluded from the enumeration (shuffling them
 between parts never changes the score) and re-attached as singletons in
@@ -33,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,13 +48,6 @@ __all__ = [
 ]
 
 ORACLE_CAP = 10
-# Bell(10) = 115975 partitions still fit one table; from 11 vertices on
-# the scan walks prefixes, and its cost keeps growing with the Bell
-# numbers (12 vertices: Bell(12) = 4213597 partitions, about 0.3 s), so
-# a larger cap warns.
-# Most partitions in one table: 10 vertices (45 pair columns) take one
-# float32 table of 21 MB.
-_TABLE_ROWS = 1 << 17
 # float32 holds every integer of smaller magnitude exactly.
 _F32_EXACT = 1 << 24
 
@@ -101,16 +88,6 @@ class RobustnessCheck:
 
 
 @functools.lru_cache(maxsize=None)
-def _completions(b: int, s: int, cap: int) -> int:
-    """How many ways s more vertices extend a prefix that uses b blocks,
-    with at most cap blocks in all."""
-    if s == 0:
-        return 1
-    opened = _completions(b + 1, s - 1, cap) if b < cap else 0
-    return b * _completions(b, s - 1, cap) + opened
-
-
-@functools.lru_cache(maxsize=None)
 def _pairs(s: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex pairs i < j of s vertices in the table's column order."""
     iu, ju = np.triu_indices(s, 1)
@@ -119,18 +96,16 @@ def _pairs(s: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-# Cached for the life of the process: no table has more than _TABLE_ROWS
-# rows, and a scan needs few shapes (full scans of 5 to 8 vertices take
-# 0.6 MB of tables in all; a 12-vertex scan needs 7 shapes, 79 MB).
+# Cached for the life of the process.  The largest table, 10 vertices
+# with no block cap, has Bell(10) = 115975 rows over 45 pairs: 21 MB.
+# All 55 (s, cap) shapes up to ORACLE_CAP vertices take about 149 MiB.
 @functools.lru_cache(maxsize=None)
-def _table(b: int, s: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every completion of a b-block prefix by s vertices with at most cap
-    blocks, in lexicographic order: the suffix labels (int8, one row per
-    completion) and the float32 same-block table.  Its columns are
-    (suffix vertex t, prefix block j) at t * b + j, then the suffix pairs
-    in _pairs(s) order."""
+def _table(s: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every restricted-growth string of s vertices with at most cap
+    blocks, in lexicographic order: the labels (int8, one row per string)
+    and the float32 same-block table over the pairs in _pairs(s) order."""
     labels = np.zeros((1, 0), dtype=np.int8)
-    used = np.array([b])
+    used = np.array([0])
     for _ in range(s):
         choices = np.minimum(used + 1, cap)
         parent = np.repeat(np.arange(used.size), choices)
@@ -138,23 +113,10 @@ def _table(b: int, s: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
         labels = np.column_stack((labels[parent], label.astype(np.int8)))
         used = np.maximum(used[parent], label + 1)
     iu, ju = _pairs(s)
-    rows = labels.shape[0]
-    same = np.empty((rows, s * b + iu.size), dtype=np.float32)
-    same[:, :s * b] = (labels[:, :, None] == np.arange(b)).reshape(rows, s * b)
-    same[:, s * b:] = labels[:, iu] == labels[:, ju]
+    same = (labels[:, iu] == labels[:, ju]).astype(np.float32)
     labels.setflags(write=False)
     same.setflags(write=False)
     return labels, same
-
-
-def _prefixes(nv: int, cap: int, prefix: tuple[int, ...] = (), b: int = 0):
-    """(prefix, blocks used) in lexicographic order, each extended until
-    its completions fit one table; the empty prefix when all fit."""
-    if _completions(b, nv - len(prefix), cap) <= _TABLE_ROWS:
-        yield prefix, b
-        return
-    for label in range(min(b + 1, cap)):
-        yield from _prefixes(nv, cap, prefix + (label,), max(b, label + 1))
 
 
 def _scan_partitions(g: Graph, active: np.ndarray,
@@ -172,35 +134,11 @@ def _scan_partitions(g: Graph, active: np.ndarray,
     np.fill_diagonal(w, 0)
     if int(np.abs(w).sum()) // 2 >= _F32_EXACT:
         raise TooLargeError("pair weights exceed the exact float32 range")
-    best_num, best, scanned = -math.inf, [], 0
-    for prefix, b in _prefixes(nv, max_parts):
-        i = len(prefix)
-        s = nv - i
-        labels, same = _table(b, s, min(max_parts, b + s))
-        iu, ju = _pairs(s)
-        weights = w[i + iu, i + ju]
-        fixed = 0
-        if prefix:
-            # block j of the prefix as one vertex: its weight to suffix
-            # vertex t sums w over the members, and the prefix's own
-            # same-block pairs add a constant
-            onehot = np.equal.outer(np.arange(b), prefix).astype(np.int64)
-            fixed = int(((onehot @ w[:i, :i]) * onehot).sum()) // 2
-            weights = np.concatenate(((onehot @ w[:i, i:]).T.ravel(), weights))
-        sums = same @ weights.astype(np.float32)
-        scanned += sums.size
-        top = sums.max()
-        num = int(top) + fixed
-        if num < best_num:
-            continue
-        if num > best_num:
-            best_num, best = num, []
-        rows = labels[np.flatnonzero(sums == top)]
-        if prefix:
-            head = np.broadcast_to(np.array(prefix, dtype=np.int8), (len(rows), i))
-            rows = np.hstack((head, rows))
-        best.extend(rows)
-    return best_num - int(d @ d), best, scanned
+    labels, same = _table(nv, min(max_parts, nv))
+    iu, ju = _pairs(nv)
+    sums = same @ w[iu, ju].astype(np.float32)
+    top = sums.max()
+    return int(top) - int(d @ d), list(labels[np.flatnonzero(sums == top)]), sums.size
 
 
 def _attach_isolated(g: Graph, active: np.ndarray, assign: np.ndarray) -> Partition:
@@ -211,25 +149,19 @@ def _attach_isolated(g: Graph, active: np.ndarray, assign: np.ndarray) -> Partit
     return Partition.from_labels(labels)
 
 
-def exact_modularity(g: Graph, cap: int = ORACLE_CAP, *,
-                     max_parts: int | None = None) -> OracleResult:
+def exact_modularity(g: Graph, *, max_parts: int | None = None) -> OracleResult:
     """q*(G) with every maximizer, by exhaustive enumeration over the
-    non-isolated vertices (at most `cap` of them); with max_parts=k, the
-    same for q_{<=k}(G), the maximum over partitions of at most k parts
-    (isolated vertices, re-attached as singletons, do not count)."""
+    non-isolated vertices (at most ORACLE_CAP of them); with max_parts=k,
+    the same for q_{<=k}(G), the maximum over partitions of at most k
+    parts (isolated vertices, re-attached as singletons, do not count)."""
     if g.n < 1:
         raise ValueError("graph needs at least one vertex")
     if max_parts is not None and max_parts < 1:
         raise ValueError("max_parts must be >= 1")
     active = np.flatnonzero(g.deg > 0)
-    if active.size > cap:
-        raise TooLargeError(
-            f"{active.size} non-isolated vertices exceed the oracle cap {cap}")
     if active.size > ORACLE_CAP:
-        warnings.warn(
-            f"enumerating partitions of {active.size} vertices "
-            f"(Bell numbers grow fast beyond {ORACLE_CAP})", RuntimeWarning,
-            stacklevel=2)
+        raise TooLargeError(
+            f"{active.size} non-isolated vertices exceed the oracle cap {ORACLE_CAP}")
     if g.m == 0:  # no active vertex: the one empty string gives singletons
         return OracleResult(Fraction(0), 0, g, active, [np.zeros(0, dtype=np.int8)])
     best_num, best, scanned = _scan_partitions(g, active, max_parts or active.size)

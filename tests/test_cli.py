@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from modgraph.cli import build_parser, main
+from modgraph.cli import main
 from modgraph.experiments import EXPERIMENTS
 from modgraph.graph import read_edgelist
 from modgraph.oracle import ORACLE_CAP
@@ -21,9 +21,6 @@ def p4_file(tmp_path):
 
 
 class TestOracleCommand:
-    def test_cap_defaults_to_oracle_cap(self):
-        assert build_parser().parse_args(["oracle", "g.txt"]).cap == ORACLE_CAP
-
     def test_q_star_printed(self, p4_file, capsys):
         assert main(["oracle", p4_file]) == 0
         out = capsys.readouterr().out
@@ -55,7 +52,7 @@ class TestInputErrors:
     def _fails(self, argv, capsys, *words):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         for word in words:
             assert word in err
 
@@ -64,8 +61,19 @@ class TestInputErrors:
         path.write_text("3 1\n0 1\n0 2\n")
         self._fails(["oracle", str(path)], capsys, "line 3")
 
+    def test_oracle_above_cap(self, tmp_path, capsys):
+        path = tmp_path / "matching.txt"
+        path.write_text("12 6\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(6)))
+        self._fails(["oracle", str(path)], capsys,
+                    f"12 non-isolated vertices exceed the oracle cap {ORACLE_CAP}")
+
     def test_rejected_generator_parameters(self, capsys):
-        self._fails(["generate", "--model", "gnm", "--n", "4", "--m", "9"], capsys)
+        self._fails(["generate", "--model", "gnm", "--n", "4", "--m", "9"], capsys,
+                    "m=9 exceeds pair count 6")
+        self._fails(["generate", "--model", "gnm", "--n", "5", "--m", "-1"], capsys,
+                    "m must be >= 0, not -1")
+        self._fails(["generate", "--model", "gnp", "--n", "5", "--p", "0.5",
+                     "--seed", "-1"], capsys, "seed must be >= 0, not -1")
 
     def test_spectral_on_isolated_vertex(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
@@ -169,7 +177,7 @@ class TestInputErrors:
         path.write_text(json.dumps({"experiment": experiment, "grid": grid}))
         assert main([experiment, "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert word in err
 
     @pytest.mark.parametrize("experiment, over, word", [
@@ -241,7 +249,7 @@ class TestInputErrors:
                                    if isinstance(over, dict) else over))
         assert main([experiment, "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert word in err
 
     def test_negative_base_seed(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ def test_range_errors_exact_type():
     for generator, args, error in [
             (gen_gnm, (4, 7), MTooLargeError),
             (gen_gnm, (0, 0), ValueError),
+            (gen_gnm, (5, -1), ValueError),
             (gen_planted, (10, 11.0, 1.0, 2), RateOutOfRangeError),
             (gen_planted, (10, 2.0, 11.0, 1), RateOutOfRangeError),
             (gen_planted, (10, 2.0, 1.0, 1), ValueError),
