@@ -8,10 +8,14 @@ shared.
 
 G(n,p) uses geometric gap-skipping over the linear pair index instead of
 n(n-1)/2 Bernoulli draws, so runtime is O(n + output edges) and n = 1e6
-sweeps at p = c/n are cheap.  Positions are sampled and decoded to int32
-(u, v) pairs in cache-sized blocks (graph._BLOCK), so no edge-length int64
-or float64 array exists.  Decoding inverts the closed-form row start
-u(2n-1-u)/2, so no n-length row-start table exists either.  The blocks
+sweeps at p = c/n are cheap.  Positions are sampled and decoded in
+cache-sized blocks (graph._BLOCK) straight to the graph's storage, the
+upper-triangle CSR rows: each pair's larger endpoint goes to the int32
+edge_v array and its row to an O(n) count whose running sum is the row
+pointer.  So a G(n,p) draw holds about 4 B per edge plus O(n), and no
+edge-length int64, float64 or edge_u array exists.  Decoding inverts the
+closed-form row start u(2n-1-u)/2, so no n-length row-start table exists
+either.  The blocks
 split each request for exponentials without changing it: a request is
 drawn in full and its size depends only on the trials left and p, so
 every stream and the generator state after each call are the same as
@@ -138,23 +142,27 @@ def _row_of(pos: int, n: int) -> int:
     return n - 2 - (math.isqrt(8 * q + 1) - 1) // 2
 
 
-def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map a sorted block of linear pair indices over n vertices to (u, v).
+def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map a sorted block of linear pair indices over n vertices to rows:
+    (rows, counts, v), where counts[i] of the pairs lie in row rows[i]
+    (int64, ascending) and v holds each pair's larger endpoint, so the
+    pairs are (np.repeat(rows, counts), v).
 
     Row u starts at u(2n-1-u)/2 and v = pos - (start(u) - u - 1); the rows
     r0..r1 that the block spans come from it exactly, in Python integers.
     At 2 or more indices per row (about where the two costs cross) each
-    row start is found among the indices and per-row counts are expanded
-    with np.repeat.  Below that each index's row is the float inverse
-    counted from the last pair, q = n(n-1)/2 - 1 - pos.  At a row's last
-    pair 8q+1 = (2j+1)^2 and float rounding moves the root by under half
-    an ulp, so the inverse is exact there; being monotone in q, it is
-    never a row late, and near a row's start it can be one row early,
-    which one step corrects.  Exact for n <= 3,037,000,499, where
-    u(2n-1-u) fits in int64; the generators refuse a larger n."""
+    row start is found among the indices, which gives the count of every
+    row r0..r1.  Below that each index's row is the float inverse counted
+    from the last pair, q = n(n-1)/2 - 1 - pos, and the rows that occur
+    are counted where the sorted rows change.  At a row's last pair 8q+1 =
+    (2j+1)^2 and float rounding moves the root by under half an ulp, so
+    the inverse is exact there; being monotone in q, it is never a row
+    late, and near a row's start it can be one row early, which one step
+    corrects.  Exact for n <= 3,037,000,499, where u(2n-1-u) fits in
+    int64; the generators refuse a larger n."""
     dtype = _index_dtype(n)
     if pos.size == 0:
-        return np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype)
     r0, r1 = _row_of(int(pos[0]), n), _row_of(int(pos[-1]), n)
     if pos.size < 2 * (r1 - r0 + 1):
         j = np.sqrt(8.0 * (n * (n - 1) // 2 - 1 - pos) + 1)
@@ -165,13 +173,20 @@ def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         shift = _row_start(u, n)
         shift -= u
         shift -= 1
+        # where the sorted rows change, with the end as one more change
+        change = np.ones(u.size + 1, dtype=bool)
+        np.not_equal(u[1:], u[:-1], out=change[1:-1])
+        bounds = change.nonzero()[0]
+        rows = u[bounds[:-1]]
+        counts = bounds[1:] - bounds[:-1]
     else:
-        span = _row_start(np.arange(r0, r1 + 1, dtype=np.int64), n)
-        counts = np.diff(np.searchsorted(pos, span), append=pos.size)
-        u = np.repeat(np.arange(r0, r1 + 1, dtype=dtype), counts)
-        shift = np.repeat(span - np.arange(r0 + 1, r1 + 2), counts)
+        rows = np.arange(r0, r1 + 1, dtype=np.int64)
+        span = _row_start(np.arange(r0, r1 + 2, dtype=np.int64), n)
+        ends = pos.searchsorted(span)
+        counts = ends[1:] - ends[:-1]
+        shift = np.repeat(span[:-1] - (rows + 1), counts)
     v = pos - shift
-    return u.astype(dtype, copy=False), v.astype(dtype)
+    return rows, counts, v.astype(dtype)
 
 
 # The largest n of any generator: _pairs_from_index is exact up to it.
@@ -187,6 +202,14 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
+def _row_pointer(rows: np.ndarray, m: int) -> np.ndarray:
+    """Row pointer of m edges from per-row counts shifted by one (rows[u + 1]
+    counts row u, rows[0] = 0): their running sum, in place while int32
+    holds m."""
+    indptr = rows.astype(_index_dtype(m), copy=False)
+    return indptr.cumsum(out=indptr)
+
+
 def gen_gnp(n: int, p: float, seed) -> Graph:
     """G(n,p): each of the n(n-1)/2 pairs is an edge independently with
     probability p.  Deterministic given (n, p, seed)."""
@@ -196,17 +219,19 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
     rng = _rng(seed)
     count = n * (n - 1) // 2
     # room for the first request's positions: the untouched tail is never
-    # written, so its pages stay unmapped; a second request grows the arrays
+    # written, so its pages stay unmapped; a second request grows the array.
+    # rows[u + 1] counts row u's edges, and its running sum is the row pointer
     cap = count if p >= 1.0 else _request_size(count, p)
-    u = np.empty(cap, dtype=_index_dtype(n))
-    v = np.empty_like(u)
+    v = np.empty(cap, dtype=_index_dtype(n))
+    rows = np.zeros(n + 1, dtype=v.dtype)
     m = 0
     for pos in _bernoulli_positions(rng, count, p):
-        if m + pos.size > u.size:
-            u, v = (np.concatenate((a[:m], np.empty_like(a))) for a in (u, v))
-        u[m:m + pos.size], v[m:m + pos.size] = _pairs_from_index(pos, n)
+        if m + pos.size > v.size:
+            v = np.concatenate((v[:m], np.empty_like(v)))
+        used, counts, v[m:m + pos.size] = _pairs_from_index(pos, n)
+        rows[used + 1] += counts
         m += pos.size
-    return Graph.from_arrays(n, u[:m], v[:m], _trusted=True)
+    return Graph.from_arrays(n, _row_pointer(rows, m), v[:m], _trusted=True)
 
 
 def gen_gnm(n: int, m: int, seed) -> Graph:
@@ -219,17 +244,18 @@ def gen_gnm(n: int, m: int, seed) -> Graph:
     if m > count:
         raise MTooLargeError(f"m={m} exceeds pair count {count}")
     rng = _rng(seed)
+    # one draw of t_j in 0..j for each j, the same values and final state
+    # as one rng.integers(0, j + 1) per j
+    draws = rng.integers(0, np.arange(count - m + 1, count + 1)).tolist()
     chosen: set[int] = set()
-    for j in range(count - m, count):
-        t = int(rng.integers(0, j + 1))
-        if t in chosen:
-            chosen.add(j)
-        else:
-            chosen.add(t)
+    for j, t in zip(range(count - m, count), draws):
+        chosen.add(j if t in chosen else t)
     pos = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
     pos.sort()
-    u, v = _pairs_from_index(pos, n)
-    return Graph.from_arrays(n, u, v, _trusted=True)
+    used, counts, v = _pairs_from_index(pos, n)
+    rows = np.zeros(n + 1, dtype=v.dtype)
+    rows[used + 1] = counts
+    return Graph.from_arrays(n, _row_pointer(rows, m), v, _trusted=True)
 
 
 def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph:
@@ -255,8 +281,8 @@ def gen_planted(n: int, alpha: float, beta: float, k: int, seed) -> LabeledGraph
         s_i = verts_i.size
         # within-block pairs
         for pos in _bernoulli_positions(rng, s_i * (s_i - 1) // 2, p_in):
-            lu, lv = _pairs_from_index(pos, s_i)
-            eu_chunks.append(verts_i[lu])
+            used, counts, lv = _pairs_from_index(pos, s_i)
+            eu_chunks.append(np.repeat(verts_i[used], counts))
             ev_chunks.append(verts_i[lv])
         # cross-block pairs against every later block
         for j in range(i + 1, k):

@@ -76,9 +76,13 @@ def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take(values, index, mode="wrap")
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
 def _index_dtype(count: int) -> type:
-    """Dtype of ids below `count`, vertex or part: int32 while they fit."""
-    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
+    """Dtype of ids below `count` (vertex or part) or of offsets up to it:
+    int32 while they fit."""
+    return np.int32 if count <= _INT32_MAX else np.int64
 
 
 def _sum_sq(values: np.ndarray) -> int:
@@ -97,11 +101,16 @@ def _sum_sq(values: np.ndarray) -> int:
 class Graph:
     """Immutable simple graph: no self-loops, no duplicate edges.
 
-    Edges are stored as two sorted arrays (edge_u[i] < edge_v[i], pairs in
-    lexicographic order) plus per-vertex degrees derived from them; the
-    adjacency CSR, each vertex's neighbours in ascending order, is built
-    without a sort on each call to adjacency() and not kept.  This layout
-    keeps scoring cache-friendly up to n ~ 1e6.  Endpoints must have an
+    Edges are stored as the rows of the upper-triangle CSR: edge_v holds
+    each edge's larger endpoint, the rows in ascending order and each row
+    sorted, and indptr (n+1 offsets into edge_v, int32 while m fits) says
+    where row u starts, so the edges are the pairs (u, v), u < v, in
+    lexicographic order.  That is about 4 B per edge plus O(n); deg is
+    derived from the rows.  edge_u, each edge's smaller endpoint, is
+    derived on each access at O(m), for small graphs and tests; the O(m)
+    passes read the rows blockwise (_edge_blocks) instead.  The adjacency
+    CSR, each vertex's neighbours in ascending order, is built without a
+    sort on each call to adjacency() and not kept.  Endpoints must have an
     integer dtype; an empty edge list of any dtype is the empty graph.
     """
 
@@ -121,10 +130,11 @@ class Graph:
         """Fast path for generators: needs edge_u[i] < edge_v[i], pairs in any order.
 
         _trusted skips every edge check (integer dtype, range, u < v, order
-        and duplicates) and only casts and counts: the pairs must already
-        be in-range u < v pairs in strictly increasing lexicographic order.
-        Only the library's own builds that make them so may set it:
-        gen_gnp and gen_gnm through the pair decoder, and induced_subgraph.
+        and duplicates) and takes the rows as given: edge_u is then the row
+        pointer (n+1 offsets into edge_v, from 0 to its length) and edge_v
+        must be sorted within each row.  Only the library's own builds that
+        make them so may set it: gen_gnp and gen_gnm through the pair
+        decoder, and induced_subgraph.
         """
         g = cls.__new__(cls)
         g._init_from_arrays(int(n), np.asarray(edge_u), np.asarray(edge_v),
@@ -135,10 +145,12 @@ class Graph:
                           trusted: bool = False) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if u.shape != v.shape:
-            raise ValueError("edge endpoint arrays differ in length")
         dtype = _index_dtype(n)
-        if not trusted:
+        if trusted:
+            indptr = u
+        else:
+            if u.shape != v.shape:
+                raise ValueError("edge endpoint arrays differ in length")
             if u.size:
                 if not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
                     raise ValueError(f"edge endpoints must be integers, not {u.dtype}/{v.dtype}")
@@ -165,33 +177,41 @@ class Graph:
                 if np.any(np.diff(key) <= 0):
                     raise ValueError("duplicate edge")
             del key
-        u = np.asarray(u, dtype=dtype)
+            # u is sorted now, so from 2 edges per vertex up (where the two
+            # costs cross, as in the pair decoder) one search per row start
+            # finds the rows; below, bincount counts them
+            if u.size >= 2 * n:
+                indptr = np.searchsorted(u, np.arange(n + 1, dtype=u.dtype))
+            else:
+                indptr = np.zeros(n + 1, dtype=_index_dtype(u.size))
+                np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+            del u
         v = np.asarray(v, dtype=dtype)
-        u.setflags(write=False)
+        indptr = np.asarray(indptr, dtype=_index_dtype(v.size))
+        indptr.setflags(write=False)
         v.setflags(write=False)
-        # edge_u is sorted on every path here, so from 2 edges per vertex up
-        # (where the two costs cross, as in the pair decoder) one search per
-        # vertex counts it.  bincount casts its input to a full int64 copy;
-        # blocks bound that copy, and at 8n edges or more they amortize each
-        # call's O(n) counts
-        if u.size >= 2 * n:
-            deg = np.diff(np.searchsorted(u, np.arange(n + 1, dtype=u.dtype)))
-            counted = (v,)
-        else:
-            deg = np.zeros(n, dtype=np.int64)
-            counted = (u, v)
-        for ends in counted:
-            for blk in _blocks(ends.size, max(_BLOCK, 8 * n)):
-                deg += np.bincount(ends[blk], minlength=n)
+        # bincount casts its input to a full int64 copy; blocks bound that
+        # copy, and at 8n edges or more they amortize each call's O(n) counts
+        deg = np.subtract(indptr[1:], indptr[:-1], dtype=np.int64)
+        for blk in _blocks(v.size, max(_BLOCK, 8 * n)):
+            deg += np.bincount(v[blk], minlength=n)
         deg.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", int(u.size))
-        object.__setattr__(self, "edge_u", u)
+        object.__setattr__(self, "m", int(v.size))
+        object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "edge_v", v)
         object.__setattr__(self, "deg", deg)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    @property
+    def edge_u(self) -> np.ndarray:
+        """Each edge's smaller endpoint, derived from the rows: O(m) per access."""
+        u = np.arange(self.n, dtype=self.edge_v.dtype).repeat(
+            self.indptr[1:] - self.indptr[:-1])
+        u.setflags(write=False)
+        return u
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, neighbors) CSR covering both directions of each edge."""
@@ -211,20 +231,38 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.n == other.n and self.m == other.m
-                and bool(np.array_equal(self.edge_u, other.edge_u))
+                and bool(np.array_equal(self.indptr, other.indptr))
                 and bool(np.array_equal(self.edge_v, other.edge_v)))
 
     def __hash__(self):
-        return hash((self.n, self.m, self.edge_u.tobytes(), self.edge_v.tobytes()))
+        return hash((self.n, self.m, self.indptr.tobytes(), self.edge_v.tobytes()))
+
+
+def _edge_blocks(g: Graph,
+                 stop: int | None = None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """g's edges 0..stop-1 (all by default) in order, in blocks of at most
+    _BLOCK edges, each as (r0, counts, v): v is the block's slice of
+    edge_v and counts[i] how many of its edges lie in row r0 + i, so
+    np.repeat(x[r0:r0 + counts.size], counts) is x[edge_u] for the block."""
+    indptr = g.indptr
+    at = indptr.dtype.type  # a Python int key would cast indptr to int64 per search
+    for blk in _blocks(g.m if stop is None else stop):
+        # rows r0..r1-1 hold the block: row r0 starts at or before it and
+        # row r1 at or after its end, so only their counts are trimmed
+        r0 = int(indptr.searchsorted(at(blk.start), "right")) - 1
+        r1 = int(indptr.searchsorted(at(blk.stop)))
+        counts = np.subtract(indptr[r0 + 1:r1 + 1], indptr[r0:r1], dtype=np.intp)
+        counts[0] -= blk.start - indptr[r0]
+        counts[-1] -= indptr[r1] - blk.stop
+        yield r0, counts, g.edge_v[blk]
 
 
 def _upper_csr(g: Graph, data: np.ndarray):
     """scipy CSR with data[i] at (edge_u[i], edge_v[i]), column indices
-    sorted, without a sort: the sorted edge arrays are its rows."""
+    sorted: g's own rows."""
     from scipy.sparse import csr_matrix
 
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(g.edge_u, minlength=g.n))))
-    return csr_matrix((data, g.edge_v, indptr), shape=(g.n, g.n))
+    return csr_matrix((data, g.edge_v, g.indptr), shape=(g.n, g.n))
 
 
 def _symmetric_csr(g: Graph, data: np.ndarray):
@@ -338,9 +376,10 @@ def _score_counts(g: Graph, p: Partition) -> tuple[int, int]:
     """Exact integer internals: (edges inside parts, sum of squared volumes)."""
     if p.n != g.n:
         raise InvalidPartitionError("partition size does not match graph")
-    a, u, v = p.assign, g.edge_u, g.edge_v
-    e_in = sum(int(np.count_nonzero(_take(a, u[blk]) == _take(a, v[blk])))
-               for blk in _blocks(g.m))
+    a = p.assign
+    e_in = sum(int(np.count_nonzero(
+        np.repeat(a[r0:r0 + counts.size], counts) == _take(a, v)))
+        for r0, counts, v in _edge_blocks(g))
     vols = p.part_volumes(g)
     return e_in, _sum_sq(vols)
 
@@ -368,7 +407,11 @@ def connected_components(g: Graph) -> Partition:
 
 def _component_edges(g: Graph, comps: Partition) -> np.ndarray:
     """Edges per part of comps = connected_components(g), placed by edge_u."""
-    return np.bincount(comps.assign[g.edge_u], minlength=comps.k)
+    edges = np.zeros(comps.k, dtype=np.int64)
+    for r0, counts, _ in _edge_blocks(g):
+        edges += np.bincount(np.repeat(comps.assign[r0:r0 + counts.size], counts),
+                             minlength=comps.k)
+    return edges
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
@@ -389,11 +432,18 @@ def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
         return g
     mask = np.zeros(g.n, dtype=bool)
     mask[keep] = True
-    sel = mask[g.edge_u] & mask[g.edge_v]
-    new_id = np.cumsum(mask) - 1
-    # the mask keeps the edges' order and the increasing relabel their u < v
-    return Graph.from_arrays(int(keep.size), new_id[g.edge_u[sel]],
-                             new_id[g.edge_v[sel]], _trusted=True)
+    new_id = (np.cumsum(mask) - 1).astype(_index_dtype(keep.size))
+    # kept edges per row of g, and their relabelled v: the mask keeps the
+    # rows' order and the increasing relabel sorts each kept row
+    rows = np.zeros(g.n, dtype=np.int64)
+    vs = [np.empty(0, dtype=new_id.dtype)]
+    for r0, counts, v in _edge_blocks(g):
+        sel = np.repeat(mask[r0:r0 + counts.size], counts) & mask[v]
+        rows[r0:r0 + counts.size] += np.bincount(
+            np.repeat(np.arange(counts.size), counts)[sel], minlength=counts.size)
+        vs.append(new_id[v[sel]])
+    indptr = np.concatenate(([0], np.cumsum(rows[keep])))
+    return Graph.from_arrays(int(keep.size), indptr, np.concatenate(vs), _trusted=True)
 
 
 def _open(path_or_file, mode: str, newline: str | None = None):

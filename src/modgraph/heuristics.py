@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _blocks, EmptyGraphError, Graph, Partition
+from .graph import _edge_blocks, EmptyGraphError, Graph, Partition
 
 __all__ = [
     "SwapTrace",
@@ -72,20 +72,18 @@ def swap_bisection(g: Graph) -> tuple[Partition, SwapTrace]:
     if g.m == 0:
         raise EmptyGraphError("swap bisection needs at least one edge")
     k = n // 6
-    u, v = g.edge_u, g.edge_v
     # Zones rise with the vertex index and every edge has u < v, so the
-    # pool-to-probe edges are those of the prefix u < 4k with 4k <= v < 6k,
+    # pool-to-probe edges are those of the rows u < 4k with 4k <= v < 6k,
     # and no edge runs from the probe set back into the pool.  The probe
-    # side is v's parity; key 2u + side counts both sides in one bincount.
-    lo, hi = v.dtype.type(4 * k), v.dtype.type(6 * k)  # same dtype: no int64 copy
+    # side is v's parity; key 2(u - r0) + side counts both sides of a
+    # block's rows in one bincount.
+    lo, hi = g.edge_v.dtype.type(4 * k), g.edge_v.dtype.type(6 * k)  # no int64 copy
     cnt = np.zeros(8 * k, dtype=np.int64)
-    for blk in _blocks(int(np.searchsorted(u, lo))):
-        ub, vb = u[blk], v[blk]
+    for r0, counts, vb in _edge_blocks(g, int(g.indptr[4 * k])):
         probe = (vb >= lo) & (vb < hi)
-        key = ub[probe].astype(np.intp)
-        key *= 2
+        key = np.repeat(np.arange(0, 2 * counts.size, 2), counts)[probe]
         key += vb[probe] & 1
-        cnt += np.bincount(key, minlength=8 * k)
+        cnt[2 * r0:2 * (r0 + counts.size)] += np.bincount(key, minlength=2 * counts.size)
     # cnt[i, j, s]: neighbours on probe side s of member j of pair i+1
     cnt = cnt.reshape(2 * k, 2, 2)
     t_values = (cnt[:, 0, 1] - cnt[:, 0, 0]) + (cnt[:, 1, 0] - cnt[:, 1, 1])

@@ -129,8 +129,9 @@ def _scan_partitions(g: Graph, active: np.ndarray,
     index[active] = np.arange(nv)
     d = g.deg[active]
     w = -2 * np.outer(d, d)
-    w[index[g.edge_u], index[g.edge_v]] += 4 * g.m
-    w[index[g.edge_v], index[g.edge_u]] += 4 * g.m
+    eu, ev = index[g.edge_u], index[g.edge_v]
+    w[eu, ev] += 4 * g.m
+    w[ev, eu] += 4 * g.m
     np.fill_diagonal(w, 0)
     if int(np.abs(w).sum()) // 2 >= _F32_EXACT:
         raise TooLargeError("pair weights exceed the exact float32 range")

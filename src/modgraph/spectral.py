@@ -24,7 +24,8 @@ import numpy as np
 
 from .generators import substream
 from .graph import (EmptyGraphError, Graph, TooLargeError, _component_edges,
-                    _symmetric_csr, connected_components, induced_subgraph)
+                    _edge_blocks, _symmetric_csr, connected_components,
+                    induced_subgraph)
 
 __all__ = [
     "DENSE_CAP",
@@ -116,14 +117,18 @@ def _normalized_laplacian(g: Graph) -> np.ndarray:
     """Dense L = I - D^{-1/2} A D^{-1/2}; g must pass _check_spectral_pre."""
     inv_sqrt = 1.0 / np.sqrt(g.deg.astype(np.float64))
     lap = np.eye(g.n)
-    w = inv_sqrt[g.edge_u] * inv_sqrt[g.edge_v]
-    lap[g.edge_u, g.edge_v] -= w
-    lap[g.edge_v, g.edge_u] -= w
+    u, v = g.edge_u, g.edge_v
+    w = inv_sqrt[u] * inv_sqrt[v]
+    lap[u, v] -= w
+    lap[v, u] -= w
     return lap
 
 
 def spectral_summary(g: Graph, cap: int = DENSE_CAP) -> SpectralSummary:
-    """Full spectrum via the dense symmetric solver; n must be <= cap."""
+    """Full spectrum via the dense symmetric solver; n must be <= cap, and a
+    cap below 1, which admits no graph, raises ValueError."""
+    if cap < 1:
+        raise ValueError(f"dense cap must be >= 1, not {cap}")
     _check_spectral_pre(g)
     if g.n > cap:
         raise TooLargeError(f"n={g.n} exceeds dense cap {cap}; use the extremal path")
@@ -137,7 +142,9 @@ def _normalized_adjacency_operator(g: Graph):
     """Returns apply(x) computing D^{-1/2} A D^{-1/2} x via one sparse
     matvec (edge weights prescaled to 1/sqrt(d_u d_v))."""
     inv_sqrt = 1.0 / np.sqrt(g.deg.astype(np.float64))
-    return _symmetric_csr(g, inv_sqrt[g.edge_u] * inv_sqrt[g.edge_v]).dot
+    w = np.repeat(inv_sqrt, g.indptr[1:] - g.indptr[:-1])  # inv_sqrt[edge_u]
+    w *= inv_sqrt[g.edge_v]
+    return _symmetric_csr(g, w).dot
 
 
 def extremal_gap(g: Graph, tol: float = GAP_TOL) -> GapEstimate:
@@ -252,7 +259,9 @@ def prune(g: Graph, p_model: float) -> PruneResult:
         neigh = nbrs[indptr[vtx]:indptr[vtx + 1]]
         removed_nbrs[neigh[kept[neigh]]] += 1
         rounds += 1
-    removed_edges = int(np.count_nonzero(~kept[g.edge_u] | ~kept[g.edge_v]))
+    removed_edges = g.m - sum(
+        int(np.count_nonzero(np.repeat(kept[r0:r0 + counts.size], counts) & kept[v]))
+        for r0, counts, v in _edge_blocks(g))
     return PruneResult(kept=np.flatnonzero(kept), removed_edges=removed_edges,
                        rounds=rounds)
 

@@ -103,6 +103,12 @@ class TestInputErrors:
         self._fails(["spectral", p4_file, "--method", "extremal", "--cap", "3"],
                     capsys, "--cap")
 
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_dense_cap_below_one(self, p4_file, capsys, cap):
+        # refused as a cap, not blamed on the graph's size
+        self._fails(["spectral", p4_file, "--cap", cap], capsys,
+                    f"dense cap must be >= 1, not {cap}")
+
     def test_generate_without_model(self, capsys):
         self._fails(["generate", "--n", "7", "--m", "3"], capsys, "needs 'model'")
 

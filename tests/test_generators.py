@@ -7,9 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from modgraph.generators import (MTooLargeError, RateOutOfRangeError,
+from modgraph.generators import (MAX_N, MTooLargeError, RateOutOfRangeError,
                                  _bernoulli_positions, _pairs_from_index,
                                  gen_gnm, gen_gnp, gen_planted, substream)
 from modgraph.graph import _BLOCK, Graph, TooLargeError, modularity_score
@@ -97,6 +99,14 @@ def _pairs_by_edge_search(pos, n):
     return pairs[:, 0].astype(dtype), pairs[:, 1].astype(dtype)
 
 
+def _decode(pos, n):
+    """_pairs_from_index's rows (rows, per-row counts, v) as the pairs (u, v)."""
+    rows, counts, v = _pairs_from_index(pos, n)
+    assert (np.diff(rows) > 0).all() and counts.sum() == v.size
+    assert counts.size == 0 or (counts[0] > 0 and counts[-1] > 0)
+    return np.repeat(rows, counts).astype(v.dtype), v
+
+
 class TestPairDecoding:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 45])
     def test_matches_per_edge_search(self, n):
@@ -107,11 +117,11 @@ class TestPairDecoding:
         for size in sorted({0, 1 if count else 0, count // 3, count}):
             pos = np.sort(rng.permutation(count)[:size]).astype(np.int64)
             ref_u, ref_v = _pairs_by_edge_search(pos, n)
-            u, v = _pairs_from_index(pos, n)
+            u, v = _decode(pos, n)
             assert u.dtype == ref_u.dtype and v.dtype == ref_v.dtype
             assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
             for piece in (1, 3, 10):
-                parts = [_pairs_from_index(pos[lo:lo + piece], n)
+                parts = [_decode(pos[lo:lo + piece], n)
                          for lo in range(0, size, piece)]
                 pu, pv = zip(*parts) if parts else ((ref_u,), (ref_v,))
                 assert np.array_equal(np.concatenate(pu), ref_u)
@@ -131,7 +141,7 @@ class TestPairDecoding:
         # one index per block takes the float estimate; the whole sorted
         # run spans far more rows than it has indices, so it does too
         for lo, hi in [(i, i + 1) for i in range(pos.size)] + [(0, pos.size)]:
-            u, v = _pairs_from_index(pos[lo:hi], n)
+            u, v = _decode(pos[lo:hi], n)
             assert np.array_equal(u, ref_u[lo:hi]) and np.array_equal(v, ref_v[lo:hi])
         assert ref_u[0] == 0 and ref_u[-1] == n - 2 and ref_v[-1] == n - 1
 
@@ -146,14 +156,14 @@ class TestPairDecoding:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_positions(self, n):
-        u, v = _pairs_from_index(np.empty(0, dtype=np.int64), n)
+        u, v = _decode(np.empty(0, dtype=np.int64), n)
         assert u.size == v.size == 0
         assert u.dtype == v.dtype == np.int32
 
     def test_every_pair_in_order(self):
         n = 9
         pos = np.arange(n * (n - 1) // 2, dtype=np.int64)
-        u, v = _pairs_from_index(pos, n)
+        u, v = _decode(pos, n)
         assert list(zip(u.tolist(), v.tolist())) == list(itertools.combinations(range(n), 2))
 
 
@@ -249,6 +259,30 @@ class TestBlockedSampler:
         assert g.m > max(1024, int(count * p * 1.02) + 64)  # past the first request
 
 
+class TestRowLayout:
+    # gen_gnp builds its rows without any edge check; the checked build of
+    # the same edges must give the same stored arrays.  At n = 200, p =
+    # 0.002 spreads about 40 edges over 199 rows (the per-edge float decode,
+    # with leading, interior and trailing empty rows); p = 0.5 puts about 50
+    # in each row (the per-row decode)
+    @given(st.integers(1, 200), st.sampled_from([0.0, 0.002, 0.02, 0.5, 1.0]),
+           st.integers(0, 2**32 - 1))
+    @example(200, 0.002, 0)
+    @example(200, 0.5, 0)
+    @example(7, 1.0, 0)
+    @example(13, 0.0, 0)
+    @example(1, 0.5, 0)
+    @settings(deadline=None)
+    def test_rows_match_checked_build(self, n, p, seed):
+        g = gen_gnp(n, p, substream(seed))
+        ref = Graph.from_arrays(n, g.edge_u, g.edge_v)
+        for name in ("edge_u", "edge_v", "indptr", "deg"):
+            a, b = getattr(g, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert g == ref and hash(g) == hash(ref)
+        assert g.m == {0.0: 0, 1.0: n * (n - 1) // 2}.get(p, g.m)
+
+
 def _peak_alloc(fn):
     """(fn(), peak bytes traced while it ran); numpy reports its buffers to
     tracemalloc."""
@@ -272,13 +306,14 @@ class TestGrowthPathMemory:
     def test_gnp_peak(self, graph):
         g, peak = _peak_alloc(lambda: gen_gnp(self.n, 0.01, substream(47)))
         assert g == graph
-        # the two int32 edge arrays, sized to the first request, are 8.2
-        # B/edge; blocks and the O(n) degrees come on top
-        assert peak <= 10 * g.m + 100 * self.n
+        # the one int32 edge array (edge_v), sized to the first request, is
+        # 4.1 B/edge; blocks, the row pointer and the degrees come on top
+        assert peak <= 5 * g.m + 100 * self.n
 
     def test_build_no_edge_sized_temporary(self, graph):
-        _, peak = _peak_alloc(lambda: Graph.from_arrays(
-            graph.n, graph.edge_u, graph.edge_v, _trusted=True))
+        # the rows gen_gnp builds from, taken before the measured build
+        indptr, v = graph.indptr, graph.edge_v
+        _, peak = _peak_alloc(lambda: Graph.from_arrays(graph.n, indptr, v, _trusted=True))
         assert peak < graph.m
 
     def test_swap_no_edge_sized_temporary(self, graph):
@@ -362,6 +397,33 @@ class TestGnm:
                 hits[pair_idx[e]] += 1
         freqs = hits / seeds
         assert np.all(np.abs(freqs - 0.2) <= 0.015)
+
+
+    @pytest.mark.parametrize("n, m", [(8, 10), (8, 28), (50, 30), (92_683, 60_000)])
+    def test_draws_match_one_draw_per_step(self, n, m):
+        # Floyd's steps drawn one rng.integers call each, as gen_gnm once
+        # did: the same edges and the same final state.  At n = 92,683 the
+        # bounds j + 1 run from below 2^32 (count - m + 1) to above (count)
+        count = n * (n - 1) // 2
+        assert count - m + 1 < 2**32 < count or n < 100
+        for seed in range(3):
+            ref_rng, rng = substream(67, seed), substream(67, seed)
+            chosen = set()
+            for j in range(count - m, count):
+                t = int(ref_rng.integers(0, j + 1))
+                chosen.add(j if t in chosen else t)
+            u, v = _pairs_by_edge_search(np.array(sorted(chosen), dtype=np.int64), n)
+            assert gen_gnm(n, m, rng) == Graph.from_arrays(n, u, v)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_vector_bounds_at_the_largest_pair_count(self):
+        # the one vector draw gen_gnm makes, at the pair count of MAX_N
+        # (about 4.6e18), where no graph can be allocated
+        count, m = MAX_N * (MAX_N - 1) // 2, 40
+        ref_rng, rng = substream(71), substream(71)
+        want = [int(ref_rng.integers(0, j + 1)) for j in range(count - m, count)]
+        got = rng.integers(0, np.arange(count - m + 1, count + 1)).tolist()
+        assert got == want and rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestPlanted:

@@ -12,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from modgraph.graph import (EdgeListFormatError, EmptyGraphError, Graph,
-                            InvalidPartitionError, Partition, _sum_sq, _symmetric_csr,
-                            connected_components, induced_subgraph,
-                            modularity_score, read_edgelist, read_partition,
-                            write_edgelist, write_partition)
+from modgraph.graph import (_BLOCK, EdgeListFormatError, EmptyGraphError, Graph,
+                            InvalidPartitionError, Partition, _edge_blocks, _index_dtype,
+                            _sum_sq, _symmetric_csr, connected_components,
+                            induced_subgraph, modularity_score, read_edgelist,
+                            read_partition, write_edgelist, write_partition)
 from modgraph.generators import gen_gnm
 
 from _samplers import (make_rng, modularity_exact, random_graph_sized,
@@ -44,9 +44,9 @@ class TestGraphConstruction:
             assert int(g.deg.sum()) == 2 * g.m
 
     def test_degrees_on_both_sides_of_search_rule(self):
-        # from 2 edges per vertex up the sorted edge_u is counted by one
-        # search per vertex, below that by bincount: the degrees agree on
-        # every constructor either side of the rule
+        # from 2 edges per vertex up the sorted edge_u's rows are found by
+        # one search per vertex, below that by bincount: the rows and the
+        # degrees agree on every constructor either side of the rule
         rng = make_rng(2, 0)
         for n in (1, 7, 40):
             top = n * (n - 1) // 2
@@ -57,6 +57,7 @@ class TestGraphConstruction:
                 for h in (g, Graph(n, shuffled), induced_subgraph(g, np.arange(n))):
                     assert h.deg.dtype == np.int64
                     assert h.deg.tolist() == want.tolist()
+                    assert np.array_equal(h.indptr, g.indptr)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -106,10 +107,41 @@ class TestGraphConstruction:
                 assert g.m == 0 and g.deg.tolist() == [0, 0, 0]
 
     def test_adjacency_not_kept(self):
-        g = path(4)
+        # the upper CSR rows are the whole store: no m-length array but
+        # edge_v, and edge_u is derived on each access
+        g = gen_gnm(40, 100, 3)
         first, second = g.adjacency(), g.adjacency()
         assert first[1] is not second[1] and vars(g).keys() == {
-            "n", "m", "edge_u", "edge_v", "deg"}
+            "n", "m", "indptr", "edge_v", "deg"}
+        assert [name for name, value in vars(g).items()
+                if np.size(value) == g.m] == ["edge_v"]
+        assert g.edge_u is not g.edge_u
+
+    def test_edge_blocks_cover_the_rows(self):
+        # blocks of _BLOCK edges end anywhere in a row; each block's rows,
+        # repeated by their counts, are its slice of edge_u, up to any
+        # stop.  n = 300k leaves most rows empty, n = 800 runs rows of
+        # about 200 edges across the block ends
+        for n, m in ((300_000, 150_000), (800, 150_000)):
+            g = gen_gnm(n, m, 9)
+            u = g.edge_u
+            for stop in (None, g.m - 1, _BLOCK + 1, _BLOCK, 1, 0):
+                end = g.m if stop is None else stop
+                got_u, got_v = [np.empty(0, dtype=np.intp)], [g.edge_v[:0]]
+                for r0, counts, v in _edge_blocks(g, stop):
+                    assert v.size <= _BLOCK and counts.sum() == v.size
+                    got_u.append(np.repeat(np.arange(r0, r0 + counts.size), counts))
+                    got_v.append(v)
+                assert np.array_equal(np.concatenate(got_u), u[:end])
+                assert np.array_equal(np.concatenate(got_v), g.edge_v[:end])
+
+    def test_row_pointer_dtype(self):
+        # int32 offsets while m fits in int32; the rule picks int64 past it
+        # (checked on the count: no such graph is allocated)
+        for g in (path(4), gen_gnm(40, 100, 3), Graph(3, [])):
+            assert g.indptr.dtype == np.int32 and g.indptr.size == g.n + 1
+        limit = np.iinfo(np.int32).max
+        assert _index_dtype(limit) is np.int32 and _index_dtype(limit + 1) is np.int64
 
     def test_neighbors(self):
         indptr, nbrs = path(4).adjacency()
