@@ -11,7 +11,7 @@ Utility subcommands operate directly on edge-list / partition files:
     modgraph oracle graph.txt --maximizers
     modgraph score graph.txt partition.txt
     modgraph generate --model gnm --n 100 --m 250 --seed 7 --out graph.txt
-    modgraph spectral graph.txt --method extremal --tol 1e-6
+    modgraph spectral graph.txt --eigenvalues spectrum.csv
 
 Input the library rejects (a malformed file, a bad parameter or config, an
 unreadable path) and a flag the chosen path would ignore print one
@@ -124,19 +124,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    if args.method == "extremal" and (args.eigenvalues or args.cap is not None):
-        raise ValueError("--eigenvalues and --cap need --method dense")
-    if args.method == "dense" and args.tol is not None:
-        raise ValueError("--tol needs --method extremal")
     g = read_edgelist(args.graph)
-    if args.method == "extremal":
-        tol = GAP_TOL if args.tol is None else args.tol
-        est = extremal_gap(g, tol=tol)
-        print(f"gap = {est.value:.12g}  (extremal path, tol {tol:g}, "
+    if g.n > DENSE_CAP and not args.eigenvalues:
+        est = extremal_gap(g, tol=GAP_TOL)
+        print(f"gap = {est.value:.12g}  (extremal path, tol {GAP_TOL:g}, "
               f"iterations {est.iterations}, residual {est.residual:.3g}, "
               f"converged={est.converged})")
         return 0 if est.converged else 1
-    summary = spectral_summary(g, cap=DENSE_CAP if args.cap is None else args.cap)
+    summary = spectral_summary(g)
     print(f"gap = {summary.gap:.12g}  (dense path, connected={summary.connected})")
     if args.eigenvalues:
         with open(args.eigenvalues, "w") as fh:
@@ -182,15 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write planted block labels here")
     par.set_defaults(func=_cmd_generate)
 
-    par = sub.add_parser("spectral", help="normalized-Laplacian spectral gap")
+    par = sub.add_parser("spectral", help="normalized-Laplacian spectral gap (dense up "
+                                          f"to {DENSE_CAP} vertices, else extremal)")
     par.add_argument("graph", help="edge-list file")
-    par.add_argument("--method", choices=["dense", "extremal"], default="dense")
-    par.add_argument("--tol", type=float, default=None,
-                     help=f"extremal only: accuracy of the gap (default {GAP_TOL:g})")
-    par.add_argument("--cap", type=int, default=None,
-                     help=f"max vertices of the dense path (default {DENSE_CAP})")
     par.add_argument("--eigenvalues", default=None,
-                     help="CSV path for the full spectrum (dense only)")
+                     help=f"CSV path for the full spectrum (dense, n <= {DENSE_CAP})")
     par.set_defaults(func=_cmd_spectral)
     return parser
 

@@ -406,12 +406,11 @@ def connected_components(g: Graph) -> Partition:
 
 
 def _component_edges(g: Graph, comps: Partition) -> np.ndarray:
-    """Edges per part of comps = connected_components(g), placed by edge_u."""
-    edges = np.zeros(comps.k, dtype=np.int64)
-    for r0, counts, _ in _edge_blocks(g):
-        edges += np.bincount(np.repeat(comps.assign[r0:r0 + counts.size], counts),
-                             minlength=comps.k)
-    return edges
+    """Edges per part of comps = connected_components(g): each edge lies in
+    the part of edge_u, so weigh each vertex by its upper-row length."""
+    # float64 bincount is exact for integer sums below 2^53
+    edges = np.bincount(comps.assign, weights=np.diff(g.indptr), minlength=comps.k)
+    return edges.astype(np.int64)
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:

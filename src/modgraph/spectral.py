@@ -13,7 +13,9 @@ the gap is then exactly 1, and the summary flags it.
 Two routes to the gap are kept deliberately independent: a dense LAPACK
 solve for n up to DENSE_CAP, and an in-house deflated power iteration on
 D^{-1/2} A D^{-1/2} (the known unit eigenvector D^{1/2} 1 / sqrt(2m) is
-projected out analytically) for large sparse graphs.
+projected out analytically) for large sparse graphs.  `modgraph spectral`
+follows the same size rule: dense up to DENSE_CAP vertices (or when the
+full spectrum is asked for), extremal_gap at GAP_TOL above it.
 """
 
 from __future__ import annotations
@@ -124,14 +126,12 @@ def _normalized_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def spectral_summary(g: Graph, cap: int = DENSE_CAP) -> SpectralSummary:
-    """Full spectrum via the dense symmetric solver; n must be <= cap, and a
-    cap below 1, which admits no graph, raises ValueError."""
-    if cap < 1:
-        raise ValueError(f"dense cap must be >= 1, not {cap}")
+def spectral_summary(g: Graph) -> SpectralSummary:
+    """Full spectrum via the dense symmetric solver; n above DENSE_CAP raises
+    TooLargeError before any solve."""
     _check_spectral_pre(g)
-    if g.n > cap:
-        raise TooLargeError(f"n={g.n} exceeds dense cap {cap}; use the extremal path")
+    if g.n > DENSE_CAP:
+        raise TooLargeError(f"n={g.n} exceeds dense cap {DENSE_CAP}")
     eigenvalues = np.linalg.eigvalsh(_normalized_laplacian(g))
     gap = max(abs(1.0 - eigenvalues[1]), abs(eigenvalues[-1] - 1.0))
     connected = connected_components(g).k == 1

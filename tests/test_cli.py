@@ -1,12 +1,13 @@
 """CLI surface: file-based subcommands and experiment runs with exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
 
 import pytest
 
-from modgraph.cli import main
+from modgraph.cli import build_parser, main
 from modgraph.experiments import EXPERIMENTS
 from modgraph.graph import read_edgelist
 from modgraph.oracle import ORACLE_CAP
@@ -17,6 +18,16 @@ from modgraph.spectral import GapEstimate
 def p4_file(tmp_path):
     path = tmp_path / "p4.txt"
     path.write_text("4 3\n0 1\n1 2\n2 3\n")
+    return str(path)
+
+
+@pytest.fixture
+def matching_file(tmp_path):
+    # the perfect matching on DENSE_CAP + 2 = 4002 vertices: above the dense
+    # cap, and its extremal gap is exactly 1 after 2 applications
+    path = tmp_path / "matching.txt"
+    path.write_text("4002 2001\n" + "".join(f"{2 * i} {2 * i + 1}\n"
+                                             for i in range(2001)))
     return str(path)
 
 
@@ -80,34 +91,13 @@ class TestInputErrors:
         path.write_text("3 1\n0 1\n")
         self._fails(["spectral", str(path)], capsys, "isolated")
 
-    def test_eigenvalues_with_extremal(self, p4_file, tmp_path, capsys):
+    def test_eigenvalues_above_dense_cap(self, matching_file, tmp_path, capsys):
+        # the full spectrum takes the dense route at any n, so it is refused
+        # above the cap before any file is written
         eigs = tmp_path / "eigs.csv"
-        self._fails(["spectral", p4_file, "--method", "extremal",
-                     "--eigenvalues", str(eigs)], capsys, "--eigenvalues")
+        self._fails(["spectral", matching_file, "--eigenvalues", str(eigs)], capsys,
+                    "n=4002 exceeds dense cap 4000")
         assert not eigs.exists()
-
-    @pytest.mark.parametrize("tol", ["0", "-0.001", "nan"])
-    def test_extremal_tol_not_positive(self, p4_file, capsys, tol):
-        # a tol of 0 would run to the iteration cap and exit 1
-        self._fails(["spectral", p4_file, "--method", "extremal", "--tol", tol],
-                    capsys, "tol must be positive")
-
-    @pytest.mark.parametrize("tol", ["-1", "1e-6"])
-    def test_tol_with_dense(self, p4_file, capsys, tol):
-        # the dense path reads no tolerance, given or by default
-        self._fails(["spectral", p4_file, "--tol", tol], capsys, "--tol")
-        self._fails(["spectral", p4_file, "--method", "dense", "--tol", tol],
-                    capsys, "--tol")
-
-    def test_cap_with_extremal(self, p4_file, capsys):
-        self._fails(["spectral", p4_file, "--method", "extremal", "--cap", "3"],
-                    capsys, "--cap")
-
-    @pytest.mark.parametrize("cap", ["-1", "0"])
-    def test_dense_cap_below_one(self, p4_file, capsys, cap):
-        # refused as a cap, not blamed on the graph's size
-        self._fails(["spectral", p4_file, "--cap", cap], capsys,
-                    f"dense cap must be >= 1, not {cap}")
 
     def test_generate_without_model(self, capsys):
         self._fails(["generate", "--n", "7", "--m", "3"], capsys, "needs 'model'")
@@ -339,32 +329,39 @@ class TestSpectralCommand:
     def test_dense_with_eigenvalues(self, p4_file, tmp_path, capsys):
         csv_path = tmp_path / "eigs.csv"
         assert main(["spectral", p4_file, "--eigenvalues", str(csv_path)]) == 0
-        out = capsys.readouterr().out
-        assert "gap =" in out and "connected=True" in out
+        assert capsys.readouterr().out == "gap = 1  (dense path, connected=True)\n"
         vals = [float(x) for x in csv_path.read_text().split()]
         assert len(vals) == 4 and abs(vals[0]) < 1e-9
 
-    def test_extremal(self, p4_file, capsys):
-        assert main(["spectral", p4_file, "--method", "extremal",
-                     "--tol", "1e-6"]) == 0
+    def test_extremal(self, matching_file, capsys):
+        # n above the dense cap takes the extremal route
+        assert main(["spectral", matching_file]) == 0
         out = capsys.readouterr().out
-        assert "extremal path" in out and "converged=True" in out
-        assert "iterations" in out and "residual" in out
+        assert out.startswith("gap = 1  (extremal path, tol 1e-06, iterations 2, ")
+        assert "residual" in out and out.endswith(", converged=True)\n")
 
-    def test_extremal_default_tol(self, p4_file, capsys, monkeypatch):
+    def test_extremal_default_tol(self, matching_file, capsys, monkeypatch):
         seen = []
         monkeypatch.setattr("modgraph.cli.extremal_gap",
                             lambda g, tol: seen.append(tol) or GapEstimate(0.5, True, 4, 0.0))
-        assert main(["spectral", p4_file, "--method", "extremal"]) == 0
+        assert main(["spectral", matching_file]) == 0
         assert seen == [1e-6] and "tol 1e-06" in capsys.readouterr().out
 
-    def test_extremal_unconverged_exits_one(self, p4_file, capsys, monkeypatch):
+    def test_extremal_unconverged_exits_one(self, matching_file, capsys, monkeypatch):
         monkeypatch.setattr("modgraph.cli.extremal_gap",
                             lambda g, tol: GapEstimate(0.5, False, 4, 0.25))
-        assert main(["spectral", p4_file, "--method", "extremal"]) == 1
+        assert main(["spectral", matching_file]) == 1
         out = capsys.readouterr().out
         assert "gap = 0.5" in out and "iterations 4" in out
         assert "residual 0.25" in out and "converged=False" in out
+
+    def test_options(self):
+        # the route follows n; no method, tolerance or cap is taken
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {o for a in sub.choices["spectral"]._actions
+                   for o in a.option_strings or [a.dest]}
+        assert options == {"-h", "--help", "graph", "--eigenvalues"}
 
 
 class TestExperimentCommands:

@@ -66,13 +66,18 @@ class TestSpectralSummary:
         assert not s.connected
         assert s.gap == pytest.approx(1.0, abs=1e-10)
 
-    def test_errors(self):
+    def test_errors(self, monkeypatch):
         with pytest.raises(IsolatedVertexError):
             spectral_summary(Graph(3, [(0, 1)]))
         with pytest.raises(EmptyGraphError):
             spectral_summary(Graph(2, []))
-        with pytest.raises(TooLargeError):
-            spectral_summary(gen_gnp(60, 0.2, 1), cap=50)
+        # the perfect matching on DENSE_CAP + 2 vertices is refused before
+        # any matrix is built
+        monkeypatch.setattr(spectral, "_normalized_laplacian",
+                            lambda g: pytest.fail("built the dense matrix"))
+        matching = Graph(4002, [(2 * i, 2 * i + 1) for i in range(2001)])
+        with pytest.raises(TooLargeError, match="^n=4002 exceeds dense cap 4000$"):
+            spectral_summary(matching)
 
     def test_eigenvalue_ranges_and_trace(self):
         for i in range(40):
@@ -119,6 +124,12 @@ class TestExtremalGap:
             dense = spectral_summary(g).gap
             assert extremal_gap(g, tol=1e-6).value == pytest.approx(
                 dense, abs=2e-6)
+
+    @pytest.mark.parametrize("tol", [0, -1e-3, float("nan")])
+    def test_tol_not_positive(self, tol):
+        # a tol that is not > 0 would run to the iteration cap
+        with pytest.raises(ValueError, match="^tol must be positive"):
+            extremal_gap(complete(4), tol=tol)
 
     def test_no_convergence_reports_estimate(self, monkeypatch):
         monkeypatch.setattr(spectral, "_GAP_MAX_ITER", 4)
