@@ -21,7 +21,6 @@ import csv
 import json
 import math
 import multiprocessing
-import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +30,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import _component_edges, _open, connected_components, modularity_score
+from .graph import (_component_edges, _open, _usable_cpus, connected_components,
+                    modularity_score)
 from .generators import MAX_N, gen_gnm, gen_gnp, gen_planted, substream
 from .heuristics import f_k, planted_partition, swap_bisection
 from .oracle import ORACLE_CAP, exact_modularity, solve_dual
@@ -268,14 +268,6 @@ def _worker_count(threads: int, tasks: int, cpus: Optional[int]) -> int:
     """Worker processes worth starting: no more than asked for, than there
     are tasks or than there are CPUs, and at least one."""
     return max(1, min(threads, tasks, cpus or 1))
-
-
-def _usable_cpus() -> Optional[int]:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
 
 
 def _batches(tasks: list, workers: int) -> Iterator[list]:

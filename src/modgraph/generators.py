@@ -15,22 +15,34 @@ edge_v array and its row to an O(n) count whose running sum is the row
 pointer.  So a G(n,p) draw holds about 4 B per edge plus O(n), and no
 edge-length int64, float64 or edge_u array exists.  Decoding inverts the
 closed-form row start u(2n-1-u)/2, so no n-length row-start table exists
-either.  The blocks
-split each request for exponentials without changing it: a request is
-drawn in full and its size depends only on the trials left and p, so
-every stream and the generator state after each call are the same as
-with one whole-request draw.
+either.  The blocks split each request for exponentials without changing
+it: a request is drawn in full and its size depends only on the trials
+left and p, so every stream and the generator state after each call are
+the same as with one whole-request draw.
+
+The sampler has two stages.  The draw stage (_gap_blocks) turns
+exponentials into integer gaps and tracks the stream's end from their
+block sums; the prefix stage (_positions) turns gaps into positions by a
+running sum.  When graph._threads grants a G(n,p) draw a second CPU, the
+draw stage runs on a helper thread ahead of the calling thread, which
+runs the prefix stage, decodes and stores (numpy releases the GIL in each
+of these kernels), with at most one block waiting between them; otherwise
+both run inline.  Either way the stream, and so every output byte, is the
+same.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import queue
+import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph import _BLOCK, Graph, TooLargeError, _index_dtype
+from .graph import _BLOCK, Graph, TooLargeError, _index_dtype, _threads
 
 __all__ = [
     "LabeledGraph",
@@ -88,44 +100,131 @@ def _request_size(remaining: int, p: float) -> int:
     return max(1024, int(remaining * p * 1.02) + 64)
 
 
-def _bernoulli_positions(rng: np.random.Generator, count: int,
-                         p: float) -> Iterator[np.ndarray]:
-    """Sorted positions of successes in `count` Bernoulli(p) trials, yielded
-    in int64 blocks of at most _BLOCK positions.
+def _gap_blocks(rng: np.random.Generator, count: int, p: float,
+                step: int = _BLOCK) -> Iterator[np.ndarray]:
+    """Draw stage: the gaps between the successes of `count` Bernoulli(p)
+    trials, from position -1, in int64 blocks of at most `step`; the last
+    block ends with the last success below `count`.
 
-    Gaps between successes are iid Geometric(p), sampled by exact inversion
-    of unit exponentials (floor(E / -log1p(-p)) + 1); distributionally
-    identical to `count` independent coin flips.  Each request of
-    _request_size exponentials is drawn in full, block by block, and the
-    overshoot past `count` is discarded, so the stream and the final `rng`
-    state do not depend on the block size.  Exhaust the iterator before
-    drawing from `rng` again.
+    Gaps are iid Geometric(p), sampled by exact inversion of unit
+    exponentials, E / -log1p(-p) cast to int64 (truncation, which is floor
+    for E >= 0) plus 1; distributionally identical to `count` independent
+    coin flips.  A gap past `count` ends the stream whatever its size, so
+    each is clamped in float just above `count` before the cast, and no
+    cast, sum or prefix can wrap.  Each request of _request_size
+    exponentials is drawn in full, block by block, and the overshoot past
+    `count` is discarded, so the stream and the final `rng` state depend
+    on neither the block size nor the thread that runs this stage.  The
+    stream's end is tracked from block sums; the block that reaches it is
+    cut at its first position at or past `count`, found by its own
+    running sum, which is exact up to that position.  Exhaust the
+    iterator before drawing from `rng` again.
     """
     if count <= 0 or p <= 0.0:
         return
     if p >= 1.0:
-        for lo in range(0, count, _BLOCK):
-            yield np.arange(lo, min(lo + _BLOCK, count), dtype=np.int64)
+        for lo in range(0, count, step):
+            yield np.ones(min(step, count - lo), dtype=np.int64)
         return
     lam = -math.log1p(-p)
+    top = math.nextafter(count, math.inf)
+    # a gap is at most 2 * count + 2, so while this holds no block sum wraps
+    sums_fit = count + step * (2 * count + 2) < 2**63
     # requests shrink with the trials left, so the first one bounds them all
-    buf = np.empty(min(_BLOCK, _request_size(count, p)))
+    buf = np.empty(min(step, _request_size(count, p)))
     last = -1
     while last < count:
         size = _request_size(count - 1 - last, p)
-        for lo in range(0, size, _BLOCK):
-            piece = buf[:min(_BLOCK, size - lo)]
+        for lo in range(0, size, step):
+            piece = buf[:min(step, size - lo)]
             rng.standard_exponential(out=piece)
             if last >= count:
                 continue  # past the end: drawn only to finish the request
             piece /= lam
-            np.floor(piece, out=piece)
+            np.minimum(piece, top, out=piece)
             gaps = piece.astype(np.int64)
             gaps += 1
+            if sums_fit:
+                total = int(gaps.sum())
+                if last + total < count:
+                    last += total
+                    yield gaps
+                    continue
+            # the drawn piece is spent, so its buffer holds the running sum
+            reach = np.cumsum(gaps, out=piece.view(np.int64))
+            over = reach >= count - last
+            end = int(over.argmax())
+            if over[end]:
+                last = count
+                yield gaps[:end]
+            else:
+                last += int(reach[-1])
+                yield gaps
+
+
+def _positions(gap_blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Prefix stage: the sorted positions the gap blocks of _gap_blocks
+    reach, block by block: each block's running sum, in place, from the
+    previous block's last position."""
+    last = -1
+    for gaps in gap_blocks:
+        if gaps.size:
             gaps[0] += last
             np.cumsum(gaps, out=gaps)
             last = int(gaps[-1])
-            yield gaps[:np.searchsorted(gaps, count)] if last >= count else gaps
+            yield gaps
+
+
+def _bernoulli_positions(rng: np.random.Generator, count: int,
+                         p: float) -> Iterator[np.ndarray]:
+    """Sorted positions of successes in `count` Bernoulli(p) trials, yielded
+    in int64 blocks of at most _BLOCK positions: both stages inline."""
+    return _positions(_gap_blocks(rng, count, p))
+
+
+@contextlib.contextmanager
+def _ahead(items: Iterator, threaded: bool):
+    """`items`, or when threaded the same items produced on a helper thread
+    while the consumer works, with at most one of them waiting.  Leaving
+    the block stops the helper and joins it, and a raise on it re-raises
+    in the consumer."""
+    if not threaded:
+        yield items
+        return
+    slot: queue.Queue = queue.Queue(maxsize=1)
+    stop = threading.Event()
+    done = object()
+
+    def produce():
+        try:
+            for item in items:
+                slot.put((item, None))
+                if stop.is_set():
+                    return
+            slot.put((done, None))
+        except BaseException as exc:  # re-raised by the consumer, never lost
+            slot.put((done, exc))
+
+    def consume():
+        while True:
+            item, exc = slot.get()
+            if exc is not None:
+                raise exc
+            if item is done:
+                return
+            yield item
+
+    helper = threading.Thread(target=produce, daemon=True)
+    helper.start()
+    try:
+        yield consume()
+    finally:
+        # after stop is set the helper puts at most once more, and never
+        # into a full slot once this get has emptied it
+        stop.set()
+        with contextlib.suppress(queue.Empty):
+            slot.get_nowait()
+        helper.join()
 
 
 def _row_start(u, n: int):
@@ -142,11 +241,14 @@ def _row_of(pos: int, n: int) -> int:
     return n - 2 - (math.isqrt(8 * q + 1) - 1) // 2
 
 
-def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pairs_from_index(pos: np.ndarray, n: int,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map a sorted block of linear pair indices over n vertices to rows:
     (rows, counts, v), where counts[i] of the pairs lie in row rows[i]
     (int64, ascending) and v holds each pair's larger endpoint, so the
-    pairs are (np.repeat(rows, counts), v).
+    pairs are (np.repeat(rows, counts), v).  v is written to `out` (pos.size
+    integers, such as a slice of a graph's edge storage) when given, else
+    to a new array of n's index dtype.
 
     Row u starts at u(2n-1-u)/2 and v = pos - (start(u) - u - 1); the rows
     r0..r1 that the block spans come from it exactly, in Python integers.
@@ -160,9 +262,10 @@ def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, 
     late, and near a row's start it can be one row early, which one step
     corrects.  Exact for n <= 3,037,000,499, where u(2n-1-u) fits in
     int64; the generators refuse a larger n."""
-    dtype = _index_dtype(n)
+    if out is None:
+        out = np.empty(pos.size, dtype=_index_dtype(n))
     if pos.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), out
     r0, r1 = _row_of(int(pos[0]), n), _row_of(int(pos[-1]), n)
     if pos.size < 2 * (r1 - r0 + 1):
         j = np.sqrt(8.0 * (n * (n - 1) // 2 - 1 - pos) + 1)
@@ -185,8 +288,8 @@ def _pairs_from_index(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, 
         ends = pos.searchsorted(span)
         counts = ends[1:] - ends[:-1]
         shift = np.repeat(span[:-1] - (rows + 1), counts)
-    v = pos - shift
-    return rows, counts, v.astype(dtype)
+    np.subtract(pos, shift, out=out, casting="unsafe")
+    return rows, counts, out
 
 
 # The largest n of any generator: _pairs_from_index is exact up to it.
@@ -225,12 +328,15 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
     v = np.empty(cap, dtype=_index_dtype(n))
     rows = np.zeros(n + 1, dtype=v.dtype)
     m = 0
-    for pos in _bernoulli_positions(rng, count, p):
-        if m + pos.size > v.size:
-            v = np.concatenate((v[:m], np.empty_like(v)))
-        used, counts, v[m:m + pos.size] = _pairs_from_index(pos, n)
-        rows[used + 1] += counts
-        m += pos.size
+    # with a second CPU for the expected edges, the draw stage runs on a
+    # helper thread
+    with _ahead(_gap_blocks(rng, count, p), _threads(count * p) > 1) as gaps:
+        for pos in _positions(gaps):
+            if m + pos.size > v.size:
+                v = np.concatenate((v[:m], np.empty_like(v)))
+            used, counts, _ = _pairs_from_index(pos, n, v[m:m + pos.size])
+            rows[used + 1] += counts
+            m += pos.size
     return Graph.from_arrays(n, _row_pointer(rows, m), v[:m], _trusted=True)
 
 

@@ -15,8 +15,14 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
+import multiprocessing
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +72,59 @@ _BLOCK = 1 << 16
 def _blocks(size: int, step: int = _BLOCK) -> Iterator[slice]:
     """Slices of at most `step` items covering range(size) in order."""
     return (slice(lo, min(lo + step, size)) for lo in range(0, size, step))
+
+
+# A pass over fewer edges runs on the calling thread alone: below about 16
+# blocks a helper thread's start and join cost more than its share saves.
+# A threaded pass hands out pieces of about this many edges, so a thread
+# that the machine runs late takes fewer of them.
+_THREAD_MIN_EDGES = 16 * _BLOCK
+# Edges in flight across the threads of one pass, a block per thread at
+# most: two blocks, as a thread's blocks much under _BLOCK lose their gain
+# to the handoffs of the GIL between numpy calls
+_PASS_EDGES = 2 * _BLOCK
+
+
+def _usable_cpus() -> Optional[int]:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def _threads(edges: float) -> int:
+    """Threads for a pass over about `edges` edges: the usable CPUs, but
+    one under _THREAD_MIN_EDGES and one in a sweep's pool worker, which
+    already holds a CPU of its own.  taskset bounds it from outside."""
+    if edges < _THREAD_MIN_EDGES or multiprocessing.parent_process() is not None:
+        return 1
+    return _usable_cpus() or 1
+
+
+def _run_threads(calls: list[Callable], threads: int) -> list:
+    """[call() for call in calls], on the calling thread and threads - 1
+    helpers, each taking the next call not yet taken.  The helpers are
+    joined before this returns or re-raises a raise."""
+    if threads == 1:
+        return [call() for call in calls]
+    results = [None] * len(calls)
+    todo: queue.SimpleQueue = queue.SimpleQueue()
+    for item in enumerate(calls):
+        todo.put(item)
+
+    def take() -> None:
+        with contextlib.suppress(queue.Empty):
+            while True:
+                i, call = todo.get_nowait()
+                results[i] = call()
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(take) for _ in range(threads - 1)]
+        take()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -191,10 +250,21 @@ class Graph:
         indptr.setflags(write=False)
         v.setflags(write=False)
         # bincount casts its input to a full int64 copy; blocks bound that
-        # copy, and at 8n edges or more they amortize each call's O(n) counts
+        # copy, and at 8n edges or more they amortize each call's O(n)
+        # counts.  Up to two threads share that budget and add their
+        # blocks' counts to deg one at a time; each holds n counts of its
+        # own, so more would outgrow it.
         deg = np.subtract(indptr[1:], indptr[:-1], dtype=np.int64)
-        for blk in _blocks(v.size, max(_BLOCK, 8 * n)):
-            deg += np.bincount(v[blk], minlength=n)
+        threads = min(2, _threads(v.size))
+        lock = threading.Lock()
+
+        def count(blk: slice) -> None:
+            counts = np.bincount(v[blk], minlength=n)
+            with lock:
+                np.add(deg, counts, out=deg)
+
+        _run_threads([functools.partial(count, blk)
+                      for blk in _blocks(v.size, max(_BLOCK, 8 * n) // threads)], threads)
         deg.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", int(v.size))
@@ -238,23 +308,53 @@ class Graph:
         return hash((self.n, self.m, self.indptr.tobytes(), self.edge_v.tobytes()))
 
 
-def _edge_blocks(g: Graph,
-                 stop: int | None = None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """g's edges 0..stop-1 (all by default) in order, in blocks of at most
-    _BLOCK edges, each as (r0, counts, v): v is the block's slice of
-    edge_v and counts[i] how many of its edges lie in row r0 + i, so
-    np.repeat(x[r0:r0 + counts.size], counts) is x[edge_u] for the block."""
+def _edge_blocks(g: Graph, start: int = 0, stop: int | None = None,
+                 step: int = _BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """g's edges start..stop-1 (all by default) in order, in blocks of at
+    most `step` edges, each as (rows, counts, v): v is the block's slice of
+    edge_v and counts[i] how many of its edges lie in row rows[i] (rows
+    ascending), so np.repeat(x[rows], counts) is x[edge_u] for the block.
+    A block that spans more rows than it has edges lists its non-empty
+    rows only, so the repeat walks no empty row and a pass costs O(edges)
+    plus one vectorized scan of the spanned rows' counts."""
     indptr = g.indptr
     at = indptr.dtype.type  # a Python int key would cast indptr to int64 per search
-    for blk in _blocks(g.m if stop is None else stop):
+    stop = g.m if stop is None else stop
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
         # rows r0..r1-1 hold the block: row r0 starts at or before it and
         # row r1 at or after its end, so only their counts are trimmed
-        r0 = int(indptr.searchsorted(at(blk.start), "right")) - 1
-        r1 = int(indptr.searchsorted(at(blk.stop)))
+        r0 = int(indptr.searchsorted(at(lo), "right")) - 1
+        r1 = int(indptr.searchsorted(at(hi)))
         counts = np.subtract(indptr[r0 + 1:r1 + 1], indptr[r0:r1], dtype=np.intp)
-        counts[0] -= blk.start - indptr[r0]
-        counts[-1] -= indptr[r1] - blk.stop
-        yield r0, counts, g.edge_v[blk]
+        counts[0] -= lo - indptr[r0]
+        counts[-1] -= indptr[r1] - hi
+        if r1 - r0 > hi - lo:
+            rows = np.flatnonzero(counts > 0)  # about twice as fast as on counts
+            counts = counts[rows]
+            rows += r0
+        else:
+            rows = np.arange(r0, r1)
+        yield rows, counts, g.edge_v[lo:hi]
+
+
+def _edge_pass(g: Graph, work: Callable[[Iterator], object],
+               stop: int | None = None) -> list:
+    """[work(blocks) for each piece]: g's edges 0..stop-1 (all by default)
+    cut into contiguous pieces of about _THREAD_MIN_EDGES edges, at least
+    one per thread (_threads), each read by _edge_blocks in blocks of a
+    thread's share of _PASS_EDGES, at most _BLOCK.  Each piece starts at a
+    row start, so no row is in two pieces and work may write its rows'
+    entries of a shared array."""
+    stop = g.m if stop is None else stop
+    threads = _threads(stop)
+    pieces = max(threads, stop // _THREAD_MIN_EDGES)
+    at = g.indptr.dtype.type
+    bounds = [0] + [int(g.indptr[g.indptr.searchsorted(at(stop * t // pieces), "right") - 1])
+                    for t in range(1, pieces)] + [stop]
+    step = min(_BLOCK, _PASS_EDGES // threads)
+    return _run_threads([functools.partial(work, _edge_blocks(g, lo, hi, step))
+                         for lo, hi in zip(bounds, bounds[1:])], threads)
 
 
 def _upper_csr(g: Graph, data: np.ndarray):
@@ -377,9 +477,13 @@ def _score_counts(g: Graph, p: Partition) -> tuple[int, int]:
     if p.n != g.n:
         raise InvalidPartitionError("partition size does not match graph")
     a = p.assign
-    e_in = sum(int(np.count_nonzero(
-        np.repeat(a[r0:r0 + counts.size], counts) == _take(a, v)))
-        for r0, counts, v in _edge_blocks(g))
+
+    def inside(blocks) -> int:
+        # the take first: its transient intp copy of v is gone before the repeat
+        return sum(int(np.count_nonzero(_take(a, v) == np.repeat(a[rows], counts)))
+                   for rows, counts, v in blocks)
+
+    e_in = sum(_edge_pass(g, inside))
     vols = p.part_volumes(g)
     return e_in, _sum_sq(vols)
 
@@ -436,9 +540,9 @@ def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:
     # rows' order and the increasing relabel sorts each kept row
     rows = np.zeros(g.n, dtype=np.int64)
     vs = [np.empty(0, dtype=new_id.dtype)]
-    for r0, counts, v in _edge_blocks(g):
-        sel = np.repeat(mask[r0:r0 + counts.size], counts) & mask[v]
-        rows[r0:r0 + counts.size] += np.bincount(
+    for blk_rows, counts, v in _edge_blocks(g):
+        sel = np.repeat(mask[blk_rows], counts) & mask[v]
+        rows[blk_rows] += np.bincount(
             np.repeat(np.arange(counts.size), counts)[sel], minlength=counts.size)
         vs.append(new_id[v[sel]])
     indptr = np.concatenate(([0], np.cumsum(rows[keep])))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _edge_blocks, EmptyGraphError, Graph, Partition
+from .graph import _edge_pass, EmptyGraphError, Graph, Partition
 
 __all__ = [
     "SwapTrace",
@@ -75,15 +75,22 @@ def swap_bisection(g: Graph) -> tuple[Partition, SwapTrace]:
     # Zones rise with the vertex index and every edge has u < v, so the
     # pool-to-probe edges are those of the rows u < 4k with 4k <= v < 6k,
     # and no edge runs from the probe set back into the pool.  The probe
-    # side is v's parity; key 2(u - r0) + side counts both sides of a
-    # block's rows in one bincount.
+    # side is v's parity; key 2i + side, for the block's i-th row, counts
+    # both sides of a block's rows in one bincount; int32 keys keep two
+    # threads' blocks to the memory of one.  The chunks of _edge_pass own
+    # disjoint rows, so each adds to its own rows of cnt.
     lo, hi = g.edge_v.dtype.type(4 * k), g.edge_v.dtype.type(6 * k)  # no int64 copy
-    cnt = np.zeros(8 * k, dtype=np.int64)
-    for r0, counts, vb in _edge_blocks(g, int(g.indptr[4 * k])):
-        probe = (vb >= lo) & (vb < hi)
-        key = np.repeat(np.arange(0, 2 * counts.size, 2), counts)[probe]
-        key += vb[probe] & 1
-        cnt[2 * r0:2 * (r0 + counts.size)] += np.bincount(key, minlength=2 * counts.size)
+    cnt = np.zeros((4 * k, 2), dtype=np.int64)
+
+    def probe_counts(blocks) -> None:
+        for rows, counts, vb in blocks:
+            probe = vb >= lo
+            probe &= vb < hi
+            key = np.repeat(np.arange(0, 2 * counts.size, 2, dtype=np.int32), counts)[probe]
+            key += vb[probe] & 1
+            cnt[rows] += np.bincount(key, minlength=2 * counts.size).reshape(-1, 2)
+
+    _edge_pass(g, probe_counts, int(g.indptr[4 * k]))
     # cnt[i, j, s]: neighbours on probe side s of member j of pair i+1
     cnt = cnt.reshape(2 * k, 2, 2)
     t_values = (cnt[:, 0, 1] - cnt[:, 0, 0]) + (cnt[:, 1, 0] - cnt[:, 1, 1])

@@ -260,8 +260,8 @@ def prune(g: Graph, p_model: float) -> PruneResult:
         removed_nbrs[neigh[kept[neigh]]] += 1
         rounds += 1
     removed_edges = g.m - sum(
-        int(np.count_nonzero(np.repeat(kept[r0:r0 + counts.size], counts) & kept[v]))
-        for r0, counts, v in _edge_blocks(g))
+        int(np.count_nonzero(np.repeat(kept[rows], counts) & kept[v]))
+        for rows, counts, v in _edge_blocks(g))
     return PruneResult(kept=np.flatnonzero(kept), removed_edges=removed_edges,
                        rounds=rounds)
 

@@ -238,9 +238,8 @@ class TestDeterminism:
         class NoPool:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a worker pool was started")
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
         assert len(run_experiment(cfg(replicates=4), threads=2).records) == 4
 

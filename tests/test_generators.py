@@ -240,6 +240,33 @@ class TestBlockedSampler:
         assert np.array_equal(got, ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_largest_count_matches_reference(self):
+        # at count ~ 4.6e18 a block's gap sum could wrap, so each block's
+        # end is found by its running sum; 2 blocks of about 92 k positions,
+        # whose whole-request sum (4.7e18) the reference holds in int64
+        count, p = MAX_N * (MAX_N - 1) // 2, 2e-14
+        ref_rng, rng = substream(45), substream(45)
+        ref = _positions_reference(ref_rng, count, p)
+        blocks = list(_bernoulli_positions(rng, count, p))
+        assert len(blocks) == 2 and np.array_equal(np.concatenate(blocks), ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_tiny_p_at_the_largest_count(self):
+        # gaps near 1e16: a request's sum passes int64, yet the positions
+        # stay sorted and below count; Binomial(count, 1e-16) has mean 461
+        # and sd 21
+        count, p = MAX_N * (MAX_N - 1) // 2, 1e-16
+        pos = np.concatenate(list(_bernoulli_positions(substream(46), count, p)))
+        assert (np.diff(pos) > 0).all() and 0 <= pos[0] and pos[-1] < count
+        assert abs(pos.size - count * p) < 5 * math.sqrt(count * p)
+
+    @pytest.mark.parametrize("n, p", [(10, 1e-17), (10, 1e-300), (10**5, 1e-300)])
+    def test_tiny_p_gives_no_edge(self, n, p):
+        # E / -log1p(-p) past 2^63 once wrapped the cast and the gap sums
+        assert gen_gnp(n, p, 0).m == 0
+        lg = gen_planted(n, 1.0, n * p, 2, 0)
+        assert (lg.labels[lg.graph.edge_u] == lg.labels[lg.graph.edge_v]).all()
+
     @pytest.mark.parametrize("npv", [0.5, 50.0])
     def test_gnp_matches_reference(self, npv):
         # np = 0.5 decodes on the per-edge side, np = 50 on the per-row side

@@ -128,9 +128,9 @@ class TestGraphConstruction:
             for stop in (None, g.m - 1, _BLOCK + 1, _BLOCK, 1, 0):
                 end = g.m if stop is None else stop
                 got_u, got_v = [np.empty(0, dtype=np.intp)], [g.edge_v[:0]]
-                for r0, counts, v in _edge_blocks(g, stop):
+                for rows, counts, v in _edge_blocks(g, stop=stop):
                     assert v.size <= _BLOCK and counts.sum() == v.size
-                    got_u.append(np.repeat(np.arange(r0, r0 + counts.size), counts))
+                    got_u.append(np.repeat(rows, counts))
                     got_v.append(v)
                 assert np.array_equal(np.concatenate(got_u), u[:end])
                 assert np.array_equal(np.concatenate(got_v), g.edge_v[:end])
