@@ -100,10 +100,10 @@ def _request_size(remaining: int, p: float) -> int:
     return max(1024, int(remaining * p * 1.02) + 64)
 
 
-def _gap_blocks(rng: np.random.Generator, count: int, p: float,
-                step: int = _BLOCK) -> Iterator[np.ndarray]:
+def _gap_blocks(rng: np.random.Generator, count: int,
+                p: float) -> Iterator[np.ndarray]:
     """Draw stage: the gaps between the successes of `count` Bernoulli(p)
-    trials, from position -1, in int64 blocks of at most `step`; the last
+    trials, from position -1, in int64 blocks of at most _BLOCK; the last
     block ends with the last success below `count`.
 
     Gaps are iid Geometric(p), sampled by exact inversion of unit
@@ -123,20 +123,20 @@ def _gap_blocks(rng: np.random.Generator, count: int, p: float,
     if count <= 0 or p <= 0.0:
         return
     if p >= 1.0:
-        for lo in range(0, count, step):
-            yield np.ones(min(step, count - lo), dtype=np.int64)
+        for lo in range(0, count, _BLOCK):
+            yield np.ones(min(_BLOCK, count - lo), dtype=np.int64)
         return
     lam = -math.log1p(-p)
     top = math.nextafter(count, math.inf)
     # a gap is at most 2 * count + 2, so while this holds no block sum wraps
-    sums_fit = count + step * (2 * count + 2) < 2**63
+    sums_fit = count + _BLOCK * (2 * count + 2) < 2**63
     # requests shrink with the trials left, so the first one bounds them all
-    buf = np.empty(min(step, _request_size(count, p)))
+    buf = np.empty(min(_BLOCK, _request_size(count, p)))
     last = -1
     while last < count:
         size = _request_size(count - 1 - last, p)
-        for lo in range(0, size, step):
-            piece = buf[:min(step, size - lo)]
+        for lo in range(0, size, _BLOCK):
+            piece = buf[:min(_BLOCK, size - lo)]
             rng.standard_exponential(out=piece)
             if last >= count:
                 continue  # past the end: drawn only to finish the request
@@ -262,10 +262,10 @@ def _pairs_from_index(pos: np.ndarray, n: int,
     late, and near a row's start it can be one row early, which one step
     corrects.  Exact for n <= 3,037,000,499, where u(2n-1-u) fits in
     int64; the generators refuse a larger n."""
-    if out is None:
-        out = np.empty(pos.size, dtype=_index_dtype(n))
+    dtype = _index_dtype(n)
     if pos.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), out
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=dtype) if out is None else out)
     r0, r1 = _row_of(int(pos[0]), n), _row_of(int(pos[-1]), n)
     if pos.size < 2 * (r1 - r0 + 1):
         j = np.sqrt(8.0 * (n * (n - 1) // 2 - 1 - pos) + 1)
@@ -288,6 +288,10 @@ def _pairs_from_index(pos: np.ndarray, n: int,
         ends = pos.searchsorted(span)
         counts = ends[1:] - ends[:-1]
         shift = np.repeat(span[:-1] - (rows + 1), counts)
+    if out is None:
+        # a new array: the int64 difference and its cast cost less per
+        # call than the buffered cast of a subtract into it
+        return rows, counts, (pos - shift).astype(dtype)
     np.subtract(pos, shift, out=out, casting="unsafe")
     return rows, counts, out
 

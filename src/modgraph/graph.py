@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
 import multiprocessing
 import os
 import queue
@@ -76,13 +75,9 @@ def _blocks(size: int, step: int = _BLOCK) -> Iterator[slice]:
 
 # A pass over fewer edges runs on the calling thread alone: below about 16
 # blocks a helper thread's start and join cost more than its share saves.
-# A threaded pass hands out pieces of about this many edges, so a thread
-# that the machine runs late takes fewer of them.
 _THREAD_MIN_EDGES = 16 * _BLOCK
-# Edges in flight across the threads of one pass, a block per thread at
-# most: two blocks, as a thread's blocks much under _BLOCK lose their gain
-# to the handoffs of the GIL between numpy calls
-_PASS_EDGES = 2 * _BLOCK
+# Threads of one pass at most: two, the only count measured (on two CPUs)
+_MAX_THREADS = 2
 
 
 def _usable_cpus() -> Optional[int]:
@@ -94,30 +89,32 @@ def _usable_cpus() -> Optional[int]:
 
 
 def _threads(edges: float) -> int:
-    """Threads for a pass over about `edges` edges: the usable CPUs, but
-    one under _THREAD_MIN_EDGES and one in a sweep's pool worker, which
-    already holds a CPU of its own.  taskset bounds it from outside."""
+    """Threads for a pass over about `edges` edges: the usable CPUs up to
+    _MAX_THREADS, but one under _THREAD_MIN_EDGES and one in a sweep's
+    pool worker, which already holds a CPU of its own.  taskset bounds it
+    from outside."""
     if edges < _THREAD_MIN_EDGES or multiprocessing.parent_process() is not None:
         return 1
-    return _usable_cpus() or 1
+    return min(_MAX_THREADS, _usable_cpus() or 1)
 
 
-def _run_threads(calls: list[Callable], threads: int) -> list:
-    """[call() for call in calls], on the calling thread and threads - 1
-    helpers, each taking the next call not yet taken.  The helpers are
-    joined before this returns or re-raises a raise."""
+def _run_threads(work: Callable, items: Iterable, threads: int) -> list:
+    """[work(item) for item in items], on the calling thread and threads - 1
+    helpers, each taking the next item not yet taken, so a thread that the
+    machine runs late takes fewer.  The helpers are joined before this
+    returns or re-raises a raise."""
     if threads == 1:
-        return [call() for call in calls]
-    results = [None] * len(calls)
+        return [work(item) for item in items]
     todo: queue.SimpleQueue = queue.SimpleQueue()
-    for item in enumerate(calls):
+    for item in enumerate(items):
         todo.put(item)
+    results = [None] * todo.qsize()
 
     def take() -> None:
         with contextlib.suppress(queue.Empty):
             while True:
-                i, call = todo.get_nowait()
-                results[i] = call()
+                i, item = todo.get_nowait()
+                results[i] = work(item)
 
     with ThreadPoolExecutor(threads - 1) as pool:
         helpers = [pool.submit(take) for _ in range(threads - 1)]
@@ -251,20 +248,18 @@ class Graph:
         v.setflags(write=False)
         # bincount casts its input to a full int64 copy; blocks bound that
         # copy, and at 8n edges or more they amortize each call's O(n)
-        # counts.  Up to two threads share that budget and add their
-        # blocks' counts to deg one at a time; each holds n counts of its
-        # own, so more would outgrow it.
+        # counts.  The threads share that budget and add their blocks'
+        # counts to deg one at a time; each holds n counts of its own.
         deg = np.subtract(indptr[1:], indptr[:-1], dtype=np.int64)
-        threads = min(2, _threads(v.size))
-        lock = threading.Lock()
+        threads = _threads(v.size)
+        lock = threading.Lock() if threads > 1 else contextlib.nullcontext()
 
         def count(blk: slice) -> None:
             counts = np.bincount(v[blk], minlength=n)
             with lock:
                 np.add(deg, counts, out=deg)
 
-        _run_threads([functools.partial(count, blk)
-                      for blk in _blocks(v.size, max(_BLOCK, 8 * n) // threads)], threads)
+        _run_threads(count, _blocks(v.size, max(_BLOCK, 8 * n) // threads), threads)
         deg.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", int(v.size))
@@ -308,20 +303,22 @@ class Graph:
         return hash((self.n, self.m, self.indptr.tobytes(), self.edge_v.tobytes()))
 
 
-def _edge_blocks(g: Graph, start: int = 0, stop: int | None = None,
-                 step: int = _BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _edge_blocks(g: Graph, start: int = 0,
+                 stop: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """g's edges start..stop-1 (all by default) in order, in blocks of at
-    most `step` edges, each as (rows, counts, v): v is the block's slice of
-    edge_v and counts[i] how many of its edges lie in row rows[i] (rows
-    ascending), so np.repeat(x[rows], counts) is x[edge_u] for the block.
-    A block that spans more rows than it has edges lists its non-empty
-    rows only, so the repeat walks no empty row and a pass costs O(edges)
-    plus one vectorized scan of the spanned rows' counts."""
+    most _BLOCK edges, each as (rows, counts, v): v is the block's slice of
+    edge_v, rows indexes the rows that hold it in ascending order and
+    counts[i] is how many of its edges lie in the i-th of them, so
+    np.repeat(x[rows], counts) is x[edge_u] for the block.  rows is the
+    slice of the rows the block spans, or, when it spans more rows than it
+    has edges, an array of its non-empty rows only, so the repeat walks no
+    empty row and a pass costs O(edges) plus one vectorized scan of the
+    spanned rows' counts."""
     indptr = g.indptr
     at = indptr.dtype.type  # a Python int key would cast indptr to int64 per search
     stop = g.m if stop is None else stop
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
         # rows r0..r1-1 hold the block: row r0 starts at or before it and
         # row r1 at or after its end, so only their counts are trimmed
         r0 = int(indptr.searchsorted(at(lo), "right")) - 1
@@ -334,7 +331,7 @@ def _edge_blocks(g: Graph, start: int = 0, stop: int | None = None,
             counts = counts[rows]
             rows += r0
         else:
-            rows = np.arange(r0, r1)
+            rows = slice(r0, r1)
         yield rows, counts, g.edge_v[lo:hi]
 
 
@@ -342,19 +339,17 @@ def _edge_pass(g: Graph, work: Callable[[Iterator], object],
                stop: int | None = None) -> list:
     """[work(blocks) for each piece]: g's edges 0..stop-1 (all by default)
     cut into contiguous pieces of about _THREAD_MIN_EDGES edges, at least
-    one per thread (_threads), each read by _edge_blocks in blocks of a
-    thread's share of _PASS_EDGES, at most _BLOCK.  Each piece starts at a
-    row start, so no row is in two pieces and work may write its rows'
-    entries of a shared array."""
+    one per thread (_threads), each read by _edge_blocks.  Each piece
+    starts at a row start, so no row is in two pieces and work may write
+    its rows' entries of a shared array."""
     stop = g.m if stop is None else stop
     threads = _threads(stop)
     pieces = max(threads, stop // _THREAD_MIN_EDGES)
     at = g.indptr.dtype.type
     bounds = [0] + [int(g.indptr[g.indptr.searchsorted(at(stop * t // pieces), "right") - 1])
                     for t in range(1, pieces)] + [stop]
-    step = min(_BLOCK, _PASS_EDGES // threads)
-    return _run_threads([functools.partial(work, _edge_blocks(g, lo, hi, step))
-                         for lo, hi in zip(bounds, bounds[1:])], threads)
+    return _run_threads(lambda piece: work(_edge_blocks(g, *piece)),
+                        zip(bounds, bounds[1:]), threads)
 
 
 def _upper_csr(g: Graph, data: np.ndarray):

@@ -77,7 +77,7 @@ def swap_bisection(g: Graph) -> tuple[Partition, SwapTrace]:
     # and no edge runs from the probe set back into the pool.  The probe
     # side is v's parity; key 2i + side, for the block's i-th row, counts
     # both sides of a block's rows in one bincount; int32 keys keep two
-    # threads' blocks to the memory of one.  The chunks of _edge_pass own
+    # threads' blocks to the memory of one.  The pieces of _edge_pass own
     # disjoint rows, so each adds to its own rows of cnt.
     lo, hi = g.edge_v.dtype.type(4 * k), g.edge_v.dtype.type(6 * k)  # no int64 copy
     cnt = np.zeros((4 * k, 2), dtype=np.int64)

@@ -130,7 +130,7 @@ class TestGraphConstruction:
                 got_u, got_v = [np.empty(0, dtype=np.intp)], [g.edge_v[:0]]
                 for rows, counts, v in _edge_blocks(g, stop=stop):
                     assert v.size <= _BLOCK and counts.sum() == v.size
-                    got_u.append(np.repeat(rows, counts))
+                    got_u.append(np.repeat(np.arange(g.n)[rows], counts))
                     got_v.append(v)
                 assert np.array_equal(np.concatenate(got_u), u[:end])
                 assert np.array_equal(np.concatenate(got_v), g.edge_v[:end])

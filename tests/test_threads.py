@@ -1,7 +1,7 @@
-"""The threaded passes: the draw stage of gen_gnp on a helper thread, and
-Swap's and the score's edge chunks.  Whatever the thread count, every byte
-is the same, no thread outlives a call, and a raise on either side of the
-sampler reaches the caller."""
+"""The threaded passes: the draw stage of gen_gnp on a helper thread, the
+Graph build's degree count, and Swap's and the score's edge pieces.
+Whatever the thread count, every byte is the same, no thread outlives a
+call, and a raise on any thread reaches the caller."""
 
 import io
 import multiprocessing
@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from modgraph import generators, graph
@@ -27,14 +28,14 @@ CASES = [(3000, 0.05), (1_000_000, 3e-7), (700, 1.0)]
 def cpus(monkeypatch):
     """Set the affinity mask to the first k CPUs and let every pass of a
     block or more use them, in pieces of a block; records the thread count
-    of each pass that splits its edges and whether each G(n,p) draw ran its
+    of each degree count and edge pass and whether each G(n,p) draw ran its
     draw stage on a helper thread."""
     seen = {"passes": [], "ahead": []}
     run_threads, ahead = graph._run_threads, generators._ahead
 
-    def counted_run(calls, threads):
+    def counted_run(work, items, threads):
         seen["passes"].append(threads)
-        return run_threads(calls, threads)
+        return run_threads(work, items, threads)
 
     def counted_ahead(items, threaded):
         seen["ahead"].append(threaded)
@@ -77,9 +78,9 @@ def test_outputs_identical_on_1_2_3_cpus(cpus, n, p):
     for k in (1, 2, 3):
         seen = cpus(k)
         runs[k] = _outputs(n, p)
-        # a helper for the draw; up to two threads count the degrees in the
-        # build, and Swap and the score take one per usable CPU
-        assert seen["ahead"] == [k > 1] and seen["passes"] == [min(k, 2), k, k]
+        # a helper for the draw; the build's degree count, Swap and the
+        # score take one thread per usable CPU, two at most
+        assert seen["ahead"] == [k > 1] and seen["passes"] == [min(k, 2)] * 3
     assert runs[1] == runs[2] == runs[3]
 
 
@@ -99,7 +100,7 @@ def test_growth_rate_csv_identical_on_1_2_3_cpus(cpus):
 def test_thread_budget(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     floor = graph._THREAD_MIN_EDGES
-    assert graph._threads(floor - 1) == 1 and graph._threads(floor) == 3
+    assert graph._threads(floor - 1) == 1 and graph._threads(floor) == 2
     # a sweep's pool worker already holds a CPU of its own
     monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
     assert graph._threads(floor) == 1
@@ -155,32 +156,48 @@ def test_raise_on_either_side_reaches_the_caller(cpus, monkeypatch, side):
     assert threading.active_count() == alive
 
 
-def test_raise_in_an_edge_chunk_reaches_the_caller(cpus):
-    cpus(3)
-    g = gen_gnp(3000, 0.05, substream(5))
+@pytest.mark.parametrize("caller", [True, False])
+def test_raise_in_a_threaded_pass_reaches_the_caller(caller):
     alive = threading.active_count()
+    main = threading.get_ident()
 
-    def work(blocks):
-        rows, _, _ = next(blocks)
-        if rows[0] > 0:  # every chunk but the calling thread's
-            raise _Failure("chunk")
-        return 0
+    def work(i):
+        time.sleep(0.01)  # so that both threads take items
+        if (threading.get_ident() == main) == caller:
+            raise _Failure("item")
+        return i * i
 
-    with pytest.raises(_Failure, match="chunk"):
-        graph._edge_pass(g, work)
+    with pytest.raises(_Failure, match="item"):
+        graph._run_threads(work, range(4), 2)
     assert threading.active_count() == alive
-    assert sum(graph._edge_pass(g, lambda b: sum(v.size for _, _, v in b))) == g.m
+    assert graph._run_threads(lambda i: i * i, range(5), 2) == [0, 1, 4, 9, 16]
+    assert threading.active_count() == alive
 
 
-def test_stress_more_threads_than_cores(cpus):
-    # 8 threads on this machine's cores, switching as often as the
-    # interpreter allows: a lost update to the shared degree or Swap counts
-    # would change them
+def test_edge_pieces_own_their_rows(cpus):
+    g = gen_gnp(3000, 0.05, substream(5))  # 225 k edges
+    everything = np.arange(g.n)
+    for k in (1, 2, 3):
+        cpus(k)
+        pieces = graph._edge_pass(g, lambda blocks: [
+            (everything[rows][[0, -1]], v.size) for rows, _, v in blocks])
+        assert len(pieces) == max(min(k, 2), g.m // graph._BLOCK)
+        assert sum(size for piece in pieces for _, size in piece) == g.m
+        # each piece's first row lies past the last row of the one before
+        ends = [(piece[0][0][0], piece[-1][0][1]) for piece in pieces]
+        assert all(last < first for (_, last), (first, _) in zip(ends, ends[1:]))
+
+
+def test_stress_more_threads_than_cores(cpus, monkeypatch):
+    # 8 threads on this machine's cores, above the cap that a run uses,
+    # switching as often as the interpreter allows: a lost update to the
+    # shared degree or Swap counts would change them
+    monkeypatch.setattr(graph, "_MAX_THREADS", 8)
     cpus(1)
     g = gen_gnp(50_000, 2e-3, substream(8))  # 2.5 M edges: 13 degree counts, 38 pieces
     part, trace = swap_bisection(g)
     want = (g.deg.tobytes(), trace.t_values.tobytes(), modularity_score(g, part))
-    cpus(8)
+    seen = cpus(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -191,3 +208,4 @@ def test_stress_more_threads_than_cores(cpus):
                     modularity_score(h, part)) == want
     finally:
         sys.setswitchinterval(interval)
+    assert seen["passes"] == [8] * 15
