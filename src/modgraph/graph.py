@@ -126,10 +126,16 @@ def _run_threads(work: Callable, items: Iterable, threads: int) -> list:
 
 def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     """values[index] for an index already known to lie in range, such as a
-    block of edge endpoints.  Fancy indexing first converts an int32 index
-    to intp; take in 'wrap' mode (a no-op in range) does not, and gathers
-    a block in about half the time."""
-    return np.take(values, index, mode="wrap")
+    block of edge endpoints.  take in 'wrap' mode (a no-op in range)
+    gathers faster than fancy indexing, but it first copies the whole
+    index to intp (8 B per entry), so an index longer than a block is
+    taken a block at a time."""
+    if index.size <= _BLOCK:
+        return np.take(values, index, mode="wrap")
+    out = np.empty(index.shape, dtype=values.dtype)
+    for blk in _blocks(index.size):
+        np.take(values, index[blk], out=out[blk], mode="wrap")
+    return out
 
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -352,17 +358,12 @@ def _edge_pass(g: Graph, work: Callable[[Iterator], object],
                         zip(bounds, bounds[1:]), threads)
 
 
-def _upper_csr(g: Graph, data: np.ndarray):
-    """scipy CSR with data[i] at (edge_u[i], edge_v[i]), column indices
-    sorted: g's own rows."""
+def _symmetric_csr(g: Graph, data: np.ndarray):
+    """scipy CSR with data[i] at (edge_u[i], edge_v[i]) and at its mirror:
+    g's own rows, column indices sorted, plus their O(m) transpose."""
     from scipy.sparse import csr_matrix
 
-    return csr_matrix((data, g.edge_v, g.indptr), shape=(g.n, g.n))
-
-
-def _symmetric_csr(g: Graph, data: np.ndarray):
-    """_upper_csr plus its mirror, which an O(m) transpose adds."""
-    upper = _upper_csr(g, data)
+    upper = csr_matrix((data, g.edge_v, g.indptr), shape=(g.n, g.n))
     return upper + upper.T
 
 
@@ -408,10 +409,9 @@ class Partition:
 
         Two paths.  Labels already in first-appearance order (a
         restricted-growth string: non-negative integers whose running
-        maximum starts at 0 and never rises by more than 1), as scipy's
-        component labels are, pass an O(n) test and are the ids
-        themselves; the test is needed as scipy does not document its
-        label order.  Any other labels (integers out of that order,
+        maximum starts at 0 and never rises by more than 1), as
+        connected_components' labels are, pass an O(n) test and are the
+        ids themselves.  Any other labels (integers out of that order,
         negative, float, bool, string) are ranked by one np.unique: a
         label's id is the rank of its first position among the labels'
         first positions."""
@@ -494,13 +494,104 @@ def modularity_score(g: Graph, p: Partition) -> ModularityBreakdown:
     return ModularityBreakdown(coverage, degree_tax, coverage - degree_tax)
 
 
+def _jump(parent: np.ndarray, x: np.ndarray | None = None) -> None:
+    """Point each vertex of x (every vertex by default) at its root by
+    pointer jumping: each pass takes the vertices still moving from their
+    parent to their grandparent.  When x holds every non-root vertex on the
+    paths it climbs, each pass halves their lengths."""
+    if x is None:
+        up = _take(parent, parent)
+        x = np.flatnonzero(up != parent).astype(parent.dtype)
+        parent[x] = _take(up, x)
+        del up
+    while x.size:
+        up = _take(parent, x)
+        top = _take(parent, up)
+        still = np.flatnonzero(top != up)
+        x = _take(x, still)
+        parent[x] = _take(top, still)
+
+
 def connected_components(g: Graph) -> Partition:
-    """Partition into connected components, ids ordered by smallest vertex."""
+    """Partition into connected components, ids ordered by smallest vertex.
+
+    A hook-and-compress union-find in the manner of Shiloach and Vishkin
+    ("An O(log n) parallel connectivity algorithm", J. Algorithms 3,
+    1982), run as vectorized passes over the stored rows.  parent[x] is x
+    or a smaller vertex of x's component, so the pointers form a forest
+    and each root is the least vertex of its tree.  Two hooks start it:
+    every v under its least lower neighbour u, then every u under the
+    least new parent of its upper neighbours, each at most u.  Then each
+    round points the vertices at their roots, keeps the edges whose roots
+    differ as root pairs, and hooks the larger root of each pair under
+    the least root paired below it (np.minimum.at), until no pair crosses.
+
+    Rounds: a root with a crossing pair that neither hooks nor is hooked
+    into in a round had only larger partners, each of which hooked under
+    a root smaller than it, so it hooks in the next round.  Within two
+    rounds every such root joins another, so the trees of a component at
+    least halve, and there are O(log n) rounds of O(log n) jumping passes.
+
+    Finding the roots: only the vertices the last hooks moved can have
+    left their roots, so while they are fewer than the vertices (the
+    later rounds on a sparse graph) pointer jumping runs over them alone,
+    and over every vertex otherwise (the first round on a graph with
+    m >= n/2, and every round of a dense one, whose pairs outnumber its
+    vertices).  A vertex a round jumped points at a root of that round,
+    which is a final root or was jumped later, so one step per such round,
+    from the last back, then one step for every vertex reach the end.
+
+    Labels: every root is the least vertex of its component, so numbering
+    the roots in increasing order gives ids in order of least vertex, the
+    labels from_labels takes as ids after its O(n) test.  Temporaries,
+    ids int32 while n fits: parent, then each vertex's root and the roots'
+    numbers (n ids each); each edge's u and the root pairs (m ids, fewer
+    as pairs meet); each round's moved vertices; masks."""
     if g.n == 0:
         raise InvalidPartitionError("graph has no vertices")
-    from scipy.sparse.csgraph import connected_components as _cc
-
-    _, labels = _cc(_upper_csr(g, np.ones(g.m, dtype=np.int8)), directed=False)
+    n, v = g.n, g.edge_v
+    sizes = np.diff(g.indptr)
+    rows = np.flatnonzero(sizes > 0).astype(v.dtype)
+    sizes = _take(sizes, rows)
+    lo, hi = np.repeat(rows, sizes), v
+    del sizes, rows
+    parent = np.arange(n, dtype=v.dtype)
+    np.minimum.at(parent, hi, lo)
+    np.minimum.at(parent, lo, _take(parent, hi))
+    # the vertices the last hooks may have moved, or None when a pass over
+    # every vertex is cheaper than one over them
+    moved = np.concatenate((lo, hi)) if 2 * lo.size < n else None
+    jumped = []
+    while True:
+        if moved is None:
+            jumped = []
+            _jump(parent)
+        else:
+            jumped.append(moved)
+            _jump(parent, moved)
+        a, b = _take(parent, lo), _take(parent, hi)
+        del lo, hi
+        cross = np.flatnonzero(a != b).astype(v.dtype)
+        if not cross.size:
+            break
+        a, b = _take(a, cross), _take(b, cross)
+        del cross
+        lo, hi = np.minimum(a, b), np.maximum(a, b, out=b)
+        del a
+        np.minimum.at(parent, hi, lo)
+        moved = hi if hi.size < n else None
+    del a, b, cross
+    for x in reversed(jumped):
+        parent[x] = _take(parent, _take(parent, x))
+    del jumped
+    root = _take(parent, parent)
+    del parent
+    roots = np.flatnonzero(root == np.arange(n, dtype=root.dtype))
+    ids = np.empty(n, dtype=root.dtype)  # read at the roots only
+    ids[roots] = np.arange(roots.size, dtype=root.dtype)
+    del roots
+    labels = _take(ids, root)
+    del ids, root
     return Partition.from_labels(labels)
 
 

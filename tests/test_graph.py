@@ -11,13 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as scipy_components
 
 from modgraph.graph import (_BLOCK, EdgeListFormatError, EmptyGraphError, Graph,
                             InvalidPartitionError, Partition, _edge_blocks, _index_dtype,
                             _sum_sq, _symmetric_csr, connected_components,
                             induced_subgraph, modularity_score, read_edgelist,
                             read_partition, write_edgelist, write_partition)
-from modgraph.generators import gen_gnm
+from modgraph.generators import gen_gnm, gen_gnp, substream
 
 from _samplers import (make_rng, modularity_exact, random_graph_sized,
                        random_partition)
@@ -444,6 +445,92 @@ class TestComponents:
             assert sum(sizes) == g.n
             assert sum(edges) == g.m
             assert sum(vols) == 2 * g.m
+
+    @staticmethod
+    def _scipy_labels(g):
+        """scipy's component search, the reference: its labels are in
+        first-appearance order, so they must equal the ids."""
+        upper = csr_matrix((np.ones(g.m, dtype=np.int8), g.edge_v, g.indptr),
+                           shape=(g.n, g.n))
+        return scipy_components(upper, directed=False)[1]
+
+    def _assert_matches_scipy(self, g):
+        comps = connected_components(g)
+        assert np.array_equal(comps.assign, self._scipy_labels(g))
+        return comps
+
+    # n * p from below the threshold to the witness core's density, and
+    # p = 0.5 where n is small enough; both find routes and many rounds
+    @pytest.mark.parametrize("n, np_", [(n, c) for n in (2, 7, 60, 500, 5000)
+                                        for c in (0.3, 0.8, 1.0, 1.5, 4.0, 30.0)]
+                             + [(500, 250.0), (5000, 100.0)])
+    def test_matches_scipy_on_gnp(self, n, np_):
+        for trailing in range(3):
+            g = gen_gnp(n, min(np_ / n, 0.5), substream(26, n, int(10 * np_), trailing))
+            g = Graph.from_arrays(g.n + trailing, g.edge_u, g.edge_v)
+            self._assert_matches_scipy(g)
+
+    # just above the threshold: trees of many depths merge over several
+    # rounds, most of them on the pairs' moved roots alone
+    @pytest.mark.parametrize("n, np_", [(n, c) for n in (3000, 5000, 20000)
+                                        for c in (1.5, 2.0, 3.0)])
+    def test_matches_scipy_near_threshold(self, n, np_):
+        for seed in range(10):
+            self._assert_matches_scipy(gen_gnp(n, np_ / n, substream(27, n, int(10 * np_), seed)))
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_matches_scipy_edgeless(self, n):
+        assert self._assert_matches_scipy(Graph(n, [])).k == n
+
+    @staticmethod
+    def _ordered(name):
+        """Vertex orders that force deep pointer chains or several rounds."""
+        rng = np.random.default_rng(2026)
+        n = 10**5
+        line = np.arange(n)
+        if name == "permuted path":
+            order = rng.permutation(n)
+        elif name == "path":       # each vertex hooks under the one before
+            order = line
+        elif name == "reversed path":
+            order = line[::-1]
+        elif name == "zigzag path":  # 0, n-1, 1, n-2, ...: every other vertex
+            # has no lower neighbour
+            order = np.column_stack((line[:n // 2], line[::-1][:n // 2])).ravel()
+        elif name == "star":
+            return Graph(n, np.column_stack((line[:-1], np.full(n - 1, n - 1))))
+        elif name == "cliques":
+            k, size = 40, 30
+            i, j = np.triu_indices(size, 1)
+            blocks = np.arange(k)[:, None] * size
+            pairs = np.column_stack(((blocks + i).ravel(), (blocks + j).ravel()))
+            return Graph(k * size, rng.permutation(k * size)[pairs])
+        elif name == "matching":
+            return Graph(n, rng.permutation(n).reshape(-1, 2))
+        return Graph(n, np.column_stack((order[:-1], order[1:])))
+
+    @pytest.mark.parametrize("name, k", [("permuted path", 1), ("path", 1),
+                                         ("reversed path", 1), ("zigzag path", 1),
+                                         ("star", 1), ("cliques", 40),
+                                         ("matching", 50_000)])
+    def test_matches_scipy_on_deep_orders(self, name, k):
+        assert self._assert_matches_scipy(self._ordered(name)).k == k
+
+    def test_peak_memory(self):
+        # near the threshold: parent, then each vertex's root and the
+        # roots' numbers, are n int32 ids each, beside the edge pairs and
+        # masks (15 B per vertex); scipy's search peaked at 27 here
+        n = 200_000
+        g = gen_gnp(n, 1.2 / n, substream(26, 0))
+        connected_components(g)
+        tracemalloc.start()
+        try:
+            comps = connected_components(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(comps.assign, self._scipy_labels(g))
+        assert peak <= 20 * n
 
 
 def degree_tax_bounds_check(g: Graph, p: Partition) -> bool:
