@@ -30,8 +30,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import (_component_edges, _open, _usable_cpus, connected_components,
-                    modularity_score)
+from .graph import (_component_edges, _components_score, _open, _usable_cpus,
+                    connected_components, modularity_score)
 from .generators import MAX_N, gen_gnm, gen_gnp, gen_planted, substream
 from .heuristics import f_k, planted_partition, swap_bisection
 from .oracle import ORACLE_CAP, exact_modularity, solve_dual
@@ -561,7 +561,7 @@ class SparsePhase(_Experiment):
                         "n_components": n, "largest_component_edges": 0})
             return rec
         comp = connected_components(g)
-        q_cc = modularity_score(g, comp).score
+        q_cc = _components_score(g, comp)
         largest = int(_component_edges(g, comp).max())
         is_matching = largest <= 1
         d = 2.0 * g.m / n
@@ -601,7 +601,7 @@ class ThresholdWindow(_Experiment):
         p = (1.0 + eps) / n
         g = gen_gnp(n, p, substream(base_seed, point_index, replicate))
         # an edgeless draw has no score; the window checks leave it out
-        q_cc = modularity_score(g, connected_components(g)).score if g.m else None
+        q_cc = _components_score(g, connected_components(g)) if g.m else None
         lo, hi = self.bounds(eps)
         c = 1.0 + eps
         x = solve_dual(c)
@@ -783,7 +783,7 @@ class IsolatedEdges(_Experiment):
         comp = connected_components(g)
         # in a simple graph a 2-vertex component is exactly one edge
         x = int(np.count_nonzero(comp.part_sizes() == 2))
-        q_cc = modularity_score(g, comp).score
+        q_cc = _components_score(g, comp)
         floor_ok = None
         if g.m >= 2 and x >= 1:
             eta = min(x / g.m, 0.5)

@@ -437,15 +437,20 @@ class Partition:
         sizes = self.part_sizes()
         return np.split(order, np.cumsum(sizes)[:-1])
 
+    # Per-part sums add into int64 with np.add.at, which reads the ids and
+    # values in place: bincount would copy the ids to intp and weights to
+    # float64, 8 B per vertex each, and round sums from 2^53 up.
     def part_sizes(self) -> np.ndarray:
-        return np.bincount(self.assign, minlength=self.k)
+        sizes = np.zeros(self.k, dtype=np.int64)
+        np.add.at(sizes, self.assign, 1)
+        return sizes
 
     def part_volumes(self, g: Graph) -> np.ndarray:
         if g.n != self.n:
             raise InvalidPartitionError("partition size does not match graph")
-        # float64 bincount is exact for integer sums below 2^53
-        vols = np.bincount(self.assign, weights=g.deg, minlength=self.k)
-        return vols.astype(np.int64)
+        vols = np.zeros(self.k, dtype=np.int64)
+        np.add.at(vols, self.assign, g.deg)
+        return vols
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
@@ -483,15 +488,20 @@ def _score_counts(g: Graph, p: Partition) -> tuple[int, int]:
     return e_in, _sum_sq(vols)
 
 
-def modularity_score(g: Graph, p: Partition) -> ModularityBreakdown:
-    """Score a partition: coverage sum(e(A))/m minus degree tax
-    sum(vol(A)^2)/(2m)^2.  Requires m >= 1."""
+def _breakdown(g: Graph, e_in: int, ssq: int) -> ModularityBreakdown:
+    """The score's float arithmetic from its exact counts, one path for
+    every score so that equal counts give equal bytes."""
     if g.m == 0:
         raise EmptyGraphError("modularity score undefined for empty graphs")
-    e_in, ssq = _score_counts(g, p)
     coverage = e_in / g.m
     degree_tax = ssq / (2.0 * g.m) / (2.0 * g.m)
     return ModularityBreakdown(coverage, degree_tax, coverage - degree_tax)
+
+
+def modularity_score(g: Graph, p: Partition) -> ModularityBreakdown:
+    """Score a partition: coverage sum(e(A))/m minus degree tax
+    sum(vol(A)^2)/(2m)^2.  Requires m >= 1."""
+    return _breakdown(g, *_score_counts(g, p))
 
 
 def _jump(parent: np.ndarray, x: np.ndarray | None = None) -> None:
@@ -596,11 +606,17 @@ def connected_components(g: Graph) -> Partition:
 
 
 def _component_edges(g: Graph, comps: Partition) -> np.ndarray:
-    """Edges per part of comps = connected_components(g): each edge lies in
-    the part of edge_u, so weigh each vertex by its upper-row length."""
-    # float64 bincount is exact for integer sums below 2^53
-    edges = np.bincount(comps.assign, weights=np.diff(g.indptr), minlength=comps.k)
-    return edges.astype(np.int64)
+    """Edges per part of comps = connected_components(g): every edge has
+    both ends in its component, so each part's volume counts its edges
+    twice."""
+    return comps.part_volumes(g) // 2
+
+
+def _components_score(g: Graph, comps: Partition) -> float:
+    """modularity_score(g, comps).score for comps = connected_components(g),
+    from the volumes alone: every edge lies inside its component, so the
+    inside count is m and no edge pass is needed.  Requires m >= 1."""
+    return _breakdown(g, g.m, _sum_sq(comps.part_volumes(g))).score
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int] | np.ndarray) -> Graph:

@@ -14,7 +14,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as scipy_components
 
 from modgraph.graph import (_BLOCK, EdgeListFormatError, EmptyGraphError, Graph,
-                            InvalidPartitionError, Partition, _edge_blocks, _index_dtype,
+                            InvalidPartitionError, Partition, _component_edges,
+                            _components_score, _edge_blocks, _index_dtype,
                             _sum_sq, _symmetric_csr, connected_components,
                             induced_subgraph, modularity_score, read_edgelist,
                             read_partition, write_edgelist, write_partition)
@@ -531,6 +532,71 @@ class TestComponents:
             tracemalloc.stop()
         assert np.array_equal(comps.assign, self._scipy_labels(g))
         assert peak <= 20 * n
+
+    @staticmethod
+    def _pieces(pieces, seed):
+        """Disjoint union of (kind, size) cliques and paths, a piece of size
+        1 an isolated vertex, with the vertices permuted by seed."""
+        edges, n = [], 0
+        for kind, size in pieces:
+            if kind == "clique":
+                edges += [(n + i, n + j) for i in range(size) for j in range(i + 1, size)]
+            else:
+                edges += [(n + i, n + i + 1) for i in range(size - 1)]
+            n += size
+        perm = np.random.default_rng(seed).permutation(n)
+        return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+    @staticmethod
+    def _bincount_sums(g, p):
+        """The float64 bincount formulas the per-part sums replaced:
+        (part_sizes, part_volumes, edges per part of edge_u)."""
+        sizes = np.bincount(p.assign, minlength=p.k)
+        vols = np.bincount(p.assign, weights=g.deg, minlength=p.k).astype(np.int64)
+        edges = np.bincount(p.assign, weights=np.diff(g.indptr), minlength=p.k)
+        return sizes, vols, edges.astype(np.int64)
+
+    @given(st.lists(st.tuples(st.sampled_from(["clique", "path"]), st.integers(1, 9)),
+                    min_size=1, max_size=30),
+           st.integers(0, 2**32 - 1))
+    @example([("path", 1), ("clique", 2), ("path", 1)], 0)  # isolated vertices, one edge
+    @example([("clique", 9)], 0)                            # complete
+    @example([("clique", 2)] * 25 + [("path", 1)] * 5 + [("clique", 4)] * 5, 0)
+    def test_components_score_from_volumes(self, pieces, seed):
+        # no edge pass: every edge lies inside its component, so the score
+        # from the volumes alone must be the same float, bit for bit
+        g = self._pieces(pieces, seed)
+        comps = connected_components(g)
+        if g.m:
+            assert _components_score(g, comps) == modularity_score(g, comps).score
+        else:
+            with pytest.raises(EmptyGraphError):
+                _components_score(g, comps)
+        assert np.array_equal(_component_edges(g, comps), self._bincount_sums(g, comps)[2])
+        labels = np.random.default_rng(seed).integers(0, len(pieces), g.n)
+        for p in (comps, Partition.from_labels(labels)):
+            sizes, vols, _ = self._bincount_sums(g, p)
+            assert p.part_sizes().dtype == p.part_volumes(g).dtype == np.int64
+            assert np.array_equal(p.part_sizes(), sizes)
+            assert np.array_equal(p.part_volumes(g), vols)
+
+    def test_components_score_peak_memory(self):
+        # the k part volumes (8 B per part) and np.add.at's fixed buffer;
+        # a float64 bincount copied the ids and the degrees, 16 B per vertex,
+        # and an edge pass added its blocks
+        n = 200_000
+        g = gen_gnp(n, 1.2 / n, substream(26, 0))
+        comps = connected_components(g)
+        want = modularity_score(g, comps).score
+        _components_score(g, comps)
+        tracemalloc.start()
+        try:
+            q = _components_score(g, comps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q == want
+        assert peak <= 8 * comps.k + (1 << 18)
 
 
 def degree_tax_bounds_check(g: Graph, p: Partition) -> bool:
